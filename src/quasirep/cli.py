@@ -39,7 +39,10 @@ def _fmt(x: float) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -66,6 +69,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _build_bases(cfg: dict, dim: int) -> KdBases:
     if "bases-file" in cfg:
         data = _load_json(cfg["bases-file"])
+        if not {"basis_a", "basis_b"} <= data.keys():
+            raise ValueError("bases file needs both basis_a and basis_b")
         return KdBases(cmat_from_json(data["basis_a"]), cmat_from_json(data["basis_b"]))
     preset = cfg.get("bases", "fourier")
     return preset_bases(preset, dim)
@@ -134,6 +139,8 @@ def run_audit(cfg: dict) -> int:
         entry = {k: v for k, v in cfg.items() if k in ("bases", "bases-file", "frame-file")}
         entry["system"] = spec
         entries = [entry]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError('"systems" must be a list of objects such as {"system": "quantum:2"}')
 
     systems, slots = [], {}
     for entry in entries:

@@ -123,8 +123,9 @@ class GptSystem:
         effects: spanning effects as rows of a real matrix.
         u: deterministic-effect covector.
         t: identity-resolution coefficients.
-        state_ops / effect_ops: the operator forms (quantum systems only).
-        iso: coordinate isomorphism onto vectorized operators (quantum only).
+        state_ops: the spanning states as operators (quantum systems only).
+        iso: unitary map from real to complex coordinates, defined for both
+            kinds: onto vectorized operators (quantum), the identity (classical).
     """
 
     def __init__(self, kind: str, dim: int, seed: int = 0, label: str | None = None):
@@ -142,15 +143,13 @@ class GptSystem:
             self.real_dim = dim**2
             self.iso = basis_isomorphism(dim)
             self.state_ops = tuple(_tomography_states(dim))
-            self.effect_ops = self.state_ops
             self.states = np.array([operator_to_coords(s, self.iso) for s in self.state_ops])
             self.effects = self.states.copy()
             self.u = operator_to_coords(np.eye(dim), self.iso)
         else:
             self.real_dim = dim
-            self.iso = None
+            self.iso = np.eye(dim, dtype=complex)
             self.state_ops = None
-            self.effect_ops = None
             self.states = np.eye(dim)
             self.effects = np.eye(dim)
             self.u = np.ones(dim)

@@ -122,6 +122,8 @@ def preset_bases(name: str, d: int) -> KdBases:
     ``hadamard``: standard vs the +/- basis (d = 2 only);
     ``fourier``: standard vs the discrete Fourier basis (faithful, any d).
     """
+    if d < 1:
+        raise DimensionError(f"preset bases need d >= 1, got {d}")
     eye = np.eye(d, dtype=complex)
     if name == "computational":
         return KdBases(eye, eye)

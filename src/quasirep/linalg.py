@@ -159,10 +159,7 @@ def rank_range(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.nda
 
 def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of ``a`` under the package-wide singular-value threshold."""
-    m = as_cmat(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    cut = tol.rtol * s[0] if s.size and s[0] > 0 else 0.0
-    return int(np.sum(s > cut))
+    return rank_range(a, tol)[0]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,14 +32,7 @@ from .errors import (
     NonIdempotentError,
     SplittingMismatchError,
 )
-from .frames import (
-    Channel,
-    DualPair,
-    Frame,
-    represent_channel,
-    represent_effect,
-    represent_state,
-)
+from .frames import Channel, DualPair, Frame
 from .gpt import (
     GptSystem,
     channel_to_process,
@@ -55,7 +48,6 @@ from .linalg import (
     max_abs,
     numerical_rank,
     rank_range,
-    vectorize,
 )
 
 __all__ = [
@@ -86,9 +78,13 @@ DECOMPOSITION_ATOL = 1e-8
 
 
 class SystemSlot:
-    """Per-system representation data: index labels plus both map matrices."""
+    """Per-system representation data: index labels plus both map matrices.
 
-    def __init__(self, labels, rep_matrix, recon_matrix, pair: DualPair | None = None):
+    ``rep`` maps complex coordinates to coefficients and ``recon`` maps them
+    back; a frame/dual pair gives its conjugated frame rows and dual columns.
+    """
+
+    def __init__(self, labels, rep_matrix, recon_matrix):
         self.labels = tuple(labels)
         self.rep = as_cmat(rep_matrix)
         self.recon = as_cmat(recon_matrix)
@@ -96,7 +92,6 @@ class SystemSlot:
             raise DimensionError("matrix sizes do not match the index set")
         if self.rep.shape[1] != self.recon.shape[0]:
             raise DimensionError("state and effect sides act on different spaces")
-        self.pair = pair
 
     @property
     def size(self) -> int:
@@ -109,9 +104,7 @@ class SystemSlot:
 
     @classmethod
     def from_pair(cls, pair: DualPair) -> "SystemSlot":
-        rep = pair.frame.vec_matrix.conj()
-        recon = pair.dual.vec_matrix.T
-        return cls(pair.labels, rep, recon, pair=pair)
+        return cls(pair.labels, pair.frame.vec_matrix.conj(), pair.dual.vec_matrix.T)
 
     @classmethod
     def classical(cls, n: int) -> "SystemSlot":
@@ -149,37 +142,39 @@ class Representation:
         return self.slot(system).id_image()
 
     def represent_state(self, system: str, x) -> np.ndarray:
+        """Coefficient vector ``rep @ vec(x)`` of a state (operator or vector)."""
         slot = self.slot(system)
-        if slot.pair is not None:
-            return represent_state(slot.pair, x)
-        return slot.rep @ np.asarray(x, dtype=complex)
+        return slot.rep @ _coord_vector(slot, x)
 
     def represent_effect(self, system: str, e) -> np.ndarray:
+        """Covector ``conj(vec(e)) @ recon``; conjugate-linear in ``e``."""
         slot = self.slot(system)
-        if slot.pair is not None:
-            return represent_effect(slot.pair, e)
-        return np.asarray(e, dtype=complex).conj() @ slot.recon
+        return _coord_vector(slot, e).conj() @ slot.recon
 
     def apply(self, system_in: str, system_out: str, process) -> np.ndarray:
-        """Representation matrix of a process between two systems.
+        """Representation matrix ``rep_out @ M @ recon_in`` of a process.
 
-        ``process`` is a :class:`Channel` between quantum slots, or a plain
-        matrix read as a superoperator/process matrix on the coordinate
-        spaces (the route used for classical systems and linear mixtures).
+        ``M`` is the superoperator of a :class:`Channel` or a plain process
+        matrix on the coordinate spaces; a mismatched shape raises
+        :class:`DimensionError`.
         """
         slot_in = self.slot(system_in)
         slot_out = self.slot(system_out)
-        if isinstance(process, Channel):
-            if slot_in.pair is None or slot_out.pair is None:
-                raise DimensionError("channels require quantum slots on both ends")
-            return represent_channel(slot_out.pair, slot_in.pair, process)
-        m = as_cmat(process)
+        m = process.superop if isinstance(process, Channel) else as_cmat(process)
         if m.shape != (slot_out.coord_dim, slot_in.coord_dim):
             raise DimensionError(
                 f"process matrix {m.shape} does not map the coordinate spaces "
                 f"{slot_in.coord_dim} -> {slot_out.coord_dim}"
             )
         return slot_out.rep @ m @ slot_in.recon
+
+
+def _coord_vector(slot: SystemSlot, x) -> np.ndarray:
+    """Row-major flattening of ``x`` (the ``vectorize`` convention), size-checked."""
+    v = np.asarray(x, dtype=complex).reshape(-1)
+    if v.size != slot.coord_dim:
+        raise DimensionError(f"input size {v.size} != coordinate dimension {slot.coord_dim}")
+    return v
 
 
 def build_representation(assignment: dict[str, DualPair], validate: bool = True) -> Representation:
@@ -195,26 +190,14 @@ def build_classical_representation(sizes: dict[str, int]) -> Representation:
     return Representation({name: SystemSlot.classical(n) for name, n in sizes.items()})
 
 
-def _complexified_state_coords(slot: SystemSlot, sys: GptSystem) -> np.ndarray:
-    """Columns: spanning states in the slot's complex coordinates."""
-    if sys.is_quantum:
-        return np.array([vectorize(op) for op in sys.state_ops]).T
-    return sys.states.astype(complex).T
+def _complexified_state_coords(sys: GptSystem) -> np.ndarray:
+    """Columns: spanning states in complex coordinates (``iso @ real coords``)."""
+    return sys.iso @ sys.states.T
 
 
-def _complexified_effect_rows(sys: GptSystem) -> np.ndarray:
-    """Rows: complexified spanning-effect functionals on the coordinates."""
-    if sys.is_quantum:
-        # Tr(E X) = vec(E.T) . vec(X), complex-linearly extended
-        return np.array([vectorize(op.T) for op in sys.effect_ops])
-    return sys.effects.astype(complex)
-
-
-def _state_images(rep: Representation, sys: GptSystem) -> np.ndarray:
-    slot = rep.slot(sys.label)
-    if sys.is_quantum:
-        return np.array([rep.represent_state(sys.label, op) for op in sys.state_ops]).T
-    return np.array([slot.rep @ s for s in sys.states.astype(complex)]).T
+def _complexified_effect_rows(sys: GptSystem, effects: np.ndarray) -> np.ndarray:
+    """Rows: real effect covectors on complex coordinates (``vec(E.T)`` for quantum)."""
+    return effects @ sys.iso.conj().T
 
 
 def extract_chi(rep: Representation, sys: GptSystem) -> np.ndarray:
@@ -225,8 +208,8 @@ def extract_chi(rep: Representation, sys: GptSystem) -> np.ndarray:
     the identity resolution it satisfies ``chi @ coords(s) == rep(s)`` for
     every state.
     """
-    images = _state_images(rep, sys)              # |Lambda| x n_states
-    effect_rows = _complexified_effect_rows(sys)  # n_effects x D
+    images = rep.slot(sys.label).rep @ _complexified_state_coords(sys)  # |Lambda| x n_states
+    effect_rows = _complexified_effect_rows(sys, sys.effects)          # n_effects x D
     return images @ sys.t.astype(complex) @ effect_rows
 
 
@@ -258,11 +241,9 @@ def effect_sum_phi(rep: Representation, sys: GptSystem) -> np.ndarray:
     """Independent construction of ``phi`` from the action on effects:
     ``phi = sum_ij t_ij v_i xi_j`` with complexified state coordinates ``v_i``
     (columns) and represented effects ``xi_j`` (rows)."""
-    coords = _complexified_state_coords(rep.slot(sys.label), sys)
-    if sys.is_quantum:
-        xi_rows = np.array([rep.represent_effect(sys.label, op) for op in sys.effect_ops])
-    else:
-        xi_rows = np.array([rep.represent_effect(sys.label, e) for e in sys.effects])
+    coords = _complexified_state_coords(sys)
+    # a real effect's row is the conjugate of its coordinates: row @ recon is xi
+    xi_rows = _complexified_effect_rows(sys, sys.effects) @ rep.slot(sys.label).recon
     return coords @ sys.t.astype(complex) @ xi_rows
 
 
@@ -432,11 +413,7 @@ def _discard_residual(rep: Representation, sys: GptSystem) -> float:
     """Deviation of the represented discard from the summation functional."""
     chi = extract_chi(rep, sys)
     ones = np.ones(rep.slot(sys.label).size, dtype=complex)
-    if sys.is_quantum:
-        u_row = vectorize(np.eye(sys.dim))  # trace functional on vec coordinates
-    else:
-        u_row = sys.u.astype(complex)
-    return max_abs(ones @ chi - u_row)
+    return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
 def audit_representation(
@@ -451,6 +428,11 @@ def audit_representation(
     Each trial draws its own child generator from ``(seed, index)`` so runs
     are reproducible and trials independent.  Failures never raise; they
     surface as report fields.
+
+    Semi-functoriality represents the composed superoperator ``S2 @ S1``
+    against ``Gamma(T2) @ Gamma(T1)``, which tests reconstruction on the
+    intermediate system; linearity represents the mixture built from the
+    Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -466,10 +448,9 @@ def audit_representation(
                 for sys_c in quantum:
                     ch1 = random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
                     ch2 = random_channel(sys_b.dim, sys_c.dim, seed=int(rng.integers(2**31)))
-                    composed = Channel([k2 @ k1 for k2 in ch2.kraus for k1 in ch1.kraus])
                     gamma1 = rep.apply(sys_a.label, sys_b.label, ch1)
                     gamma2 = rep.apply(sys_b.label, sys_c.label, ch2)
-                    whole = rep.apply(sys_a.label, sys_c.label, composed)
+                    whole = rep.apply(sys_a.label, sys_c.label, ch2.superop @ ch1.superop)
                     semif = max(semif, max_abs(whole - gamma2 @ gamma1))
         for sys in quantum:
             rho = random_density(sys.dim, rng)
@@ -484,13 +465,12 @@ def audit_representation(
                 ch2 = random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
                 g1 = rep.apply(sys_a.label, sys_b.label, ch1)
                 g2 = rep.apply(sys_a.label, sys_b.label, ch2)
-                # physical mixture first, then an arbitrary real combination
                 w = rng.uniform(0, 1)
-                mixed = rep.apply(sys_a.label, sys_b.label, w * ch1.superop + (1 - w) * ch2.superop)
+                mixture = Channel(
+                    [np.sqrt(w) * k for k in ch1.kraus] + [np.sqrt(1 - w) * k for k in ch2.kraus]
+                )
+                mixed = rep.apply(sys_a.label, sys_b.label, mixture)
                 linearity = max(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
-                alpha, beta = rng.uniform(-2, 2, 2)
-                combo = rep.apply(sys_a.label, sys_b.label, alpha * ch1.superop + beta * ch2.superop)
-                linearity = max(linearity, max_abs(combo - (alpha * g1 + beta * g2)))
 
     discard = max((_discard_residual(rep, s) for s in systems), default=0.0)
     functorial = all(

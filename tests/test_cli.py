@@ -202,3 +202,24 @@ class TestCoherence:
             main(["coherence", "--dims", "2,2,2", "--seed", "13", "--out", str(out)])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["kd-table", "--bases-file"], {"basis_a": cmat_to_json(np.eye(2))}),
+        (["audit", "--bases-file"], {"basis_a": cmat_to_json(np.eye(2))}),
+        (["audit", "--config"], {"systems": ["quantum:2"]}),
+        (["audit", "--config"], [1, 2]),
+        (["kd-table", "--bases", "fourier", "--dim", "0"], None),
+    ],
+    ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0"],
+)
+def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = argv + [str(path)]
+    assert main(argv) == EXIT_CONSTRUCTION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,18 +2,28 @@ import numpy as np
 import pytest
 
 from quasirep.errors import (
+    DimensionError,
     InjectivityError,
     NonIdempotentError,
     ReconstructionError,
     SplittingMismatchError,
 )
-from quasirep.frames import DualPair, Frame, canonical_dual, random_frame
+from quasirep.frames import (
+    DualPair,
+    Frame,
+    canonical_dual,
+    random_frame,
+    represent_channel,
+    represent_effect,
+    represent_state,
+)
 from quasirep.gpt import make_system, random_channel, random_density
 from quasirep.kirkwood_dirac import kd_distribution, kd_frame_pair, preset_bases, random_faithful_bases
 from quasirep.linalg import max_abs, rank_range, vectorize
 from quasirep.structure import (
     Representation,
     SystemSlot,
+    _discard_residual,
     audit_representation,
     build_classical_representation,
     build_representation,
@@ -75,6 +85,47 @@ class TestBuildRepresentation:
             rep, _ = overcomplete_rep(qubit, rng, extra=trial % 4)
             d_mat = rep.id_image(qubit.label)
             assert max_abs(d_mat @ d_mat - d_mat) <= 1e-9
+
+
+class TestMatrixSlots:
+    """The slot matrices reproduce the frame-level formulas of ``frames``."""
+
+    @pytest.mark.parametrize("kind", ["kd", "overcomplete"])
+    def test_matches_frame_formulas(self, qubit, rng, kind):
+        rep, pair = kd_rep(qubit) if kind == "kd" else overcomplete_rep(qubit, rng, extra=3)
+        label = qubit.label
+        for trial in range(5):
+            rho = random_density(2, rng)
+            e = random_complex_matrix(rng, 2)
+            ch = random_channel(2, 2, seed=40 + trial)
+            assert max_abs(rep.represent_state(label, rho) - represent_state(pair, rho)) <= 1e-12
+            assert max_abs(rep.represent_effect(label, e) - represent_effect(pair, e)) <= 1e-12
+            assert max_abs(rep.apply(label, label, ch) - represent_channel(pair, pair, ch)) <= 1e-12
+
+    def test_qubit_to_qutrit_channel(self, qubit, qutrit, rng):
+        pair_in = kd_frame_pair(random_faithful_bases(2, seed=4))
+        pair_out = canonical_dual(random_frame(3, 11, rng))
+        rep = build_representation({qubit.label: pair_in, qutrit.label: pair_out})
+        ch = random_channel(2, 3, seed=9)
+        gamma = rep.apply(qubit.label, qutrit.label, ch)
+        assert gamma.shape == (11, 4)
+        assert max_abs(gamma - represent_channel(pair_out, pair_in, ch)) <= 1e-12
+
+    def test_wrong_size_operator_rejected(self, qubit):
+        rep, _ = kd_rep(qubit)
+        with pytest.raises(DimensionError):
+            rep.represent_state(qubit.label, np.eye(3))
+        with pytest.raises(DimensionError):
+            rep.represent_effect(qubit.label, np.eye(3))
+        with pytest.raises(DimensionError):
+            rep.apply(qubit.label, qubit.label, random_channel(2, 3, seed=1))
+
+    def test_classical_effect_side(self):
+        sys3 = make_system("classical", 3)
+        rep = build_classical_representation({sys3.label: 3})
+        assert max_abs(effect_sum_phi(rep, sys3) - np.eye(3)) <= 1e-12
+        assert max_abs(extract_phi(rep, sys3) - np.eye(3)) <= 1e-12
+        assert _discard_residual(rep, sys3) <= 1e-12
 
 
 class TestExtractChi:

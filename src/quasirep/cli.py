@@ -38,6 +38,8 @@ def _fmt(x: float) -> str:
 
 
 def _load_json(path: str) -> dict:
+    if not isinstance(path, str):
+        raise ValueError(f"expected a file path, got {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -48,6 +50,8 @@ def _load_json(path: str) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
+    elif not isinstance(path, str):
+        raise ValueError(f"expected an output path, got {path!r}")
     else:
         Path(path).write_text(text, encoding="utf-8")
 
@@ -66,6 +70,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _coerce(kind: type, value, name: str):
+    """``kind(value)``; a config value of the wrong JSON type is a parse error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
 def _build_bases(cfg: dict, dim: int) -> KdBases:
     if "bases-file" in cfg:
         data = _load_json(cfg["bases-file"])
@@ -77,14 +89,14 @@ def _build_bases(cfg: dict, dim: int) -> KdBases:
 
 
 def run_kd_table(cfg: dict) -> int:
-    dim = int(cfg.get("dim", 2))
+    dim = _coerce(int, cfg.get("dim", 2), "dim")
     kb = _build_bases(cfg, dim)
     dim = kb.dim
 
     if "state" in cfg:
         rho = cmat_from_json(_load_json(cfg["state"]))
     else:
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+        rng = np.random.default_rng(_coerce(int, cfg.get("seed", 0), "seed"))
         rho = random_density(dim, rng)
 
     if cfg.get("frame"):
@@ -105,11 +117,12 @@ def run_kd_table(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _parse_system_spec(spec: str):
-    kind, _, dim = spec.partition(":")
-    if kind not in ("quantum", "classical") or not dim.isdigit():
-        raise ValueError(f"bad system spec {spec!r}; expected e.g. 'quantum:2'")
-    return kind, int(dim)
+def _parse_system_spec(spec) -> tuple[str, int]:
+    if isinstance(spec, str):
+        kind, _, dim = spec.partition(":")
+        if kind in ("quantum", "classical") and dim.isdigit():
+            return kind, int(dim)
+    raise ValueError(f"bad system spec {spec!r}; expected e.g. 'quantum:2'")
 
 
 def _audit_slot(entry: dict, sys) -> SystemSlot:
@@ -127,11 +140,11 @@ def _audit_slot(entry: dict, sys) -> SystemSlot:
 
 
 def run_audit(cfg: dict) -> int:
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 20))
+    seed = _coerce(int, cfg.get("seed", 0), "seed")
+    trials = _coerce(int, cfg.get("trials", 20), "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tol_value = float(cfg.get("tol", DECOMPOSITION_ATOL))
+    tol_value = _coerce(float, cfg.get("tol", DECOMPOSITION_ATOL), "tol")
 
     entries = cfg.get("systems")
     if entries is None:
@@ -169,11 +182,14 @@ def run_audit(cfg: dict) -> int:
 def run_coherence(cfg: dict) -> int:
     dims = cfg.get("dims", "2,3,2")
     if isinstance(dims, str):
-        dims = [int(x) for x in dims.split(",")]
-    dims = (list(dims) + [2, 2, 2])[:3]
+        dims = dims.split(",")
+    if not isinstance(dims, list):
+        raise ValueError(f"dims must be a list or a string such as '2,3,2', got {dims!r}")
+    dims = [_coerce(int, x, "dims") for x in dims]
+    dims = (dims + [2, 2, 2])[:3]
     report = monoidal_coherence(
-        dims[0], dims[1], trials=int(cfg.get("trials", 50)),
-        seed=int(cfg.get("seed", 0)), dim_z=dims[2],
+        dims[0], dims[1], trials=_coerce(int, cfg.get("trials", 50), "trials"),
+        seed=_coerce(int, cfg.get("seed", 0), "seed"), dim_z=dims[2],
     )
     _write_text(cfg.get("out"), json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED

@@ -59,6 +59,9 @@ __all__ = [
 # entrywise threshold (the canonical dual of a mildly conditioned frame sits
 # orders of magnitude below it).
 RECONSTRUCTION_ATOL = 1e-9
+# Ginibre families of at least d**2 elements span with probability one, so
+# running out of draws means the generator is degenerate, not unlucky.
+RANDOM_FRAME_MAX_DRAWS = 100
 
 
 class Frame:
@@ -147,36 +150,49 @@ class DualPair:
 class Channel:
     """A completely positive trace-nonincreasing map in Kraus form.
 
-    The Kraus list is ground truth; the superoperator matrix acting on
-    row-major vectorizations is derived once and cached.
+    The Kraus operators are held as one read-only ``(n, d_out, d_in)``
+    complex array, ``kraus``, copied from the input, which is ground truth;
+    the superoperator matrix acting on row-major vectorizations and the
+    gram ``sum K†K`` are derived from it once.  Any sequence of equally
+    shaped matrices, or such a stack, is accepted.
     """
 
     def __init__(self, kraus, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
-        kraus = [as_cmat(k) for k in kraus]
-        if not kraus:
+        try:
+            stack = np.array(kraus, dtype=complex)
+        except ValueError:
+            for k in kraus:  # a malformed operator reports itself; else the shapes differ
+                as_cmat(k)
+            raise DimensionError("all Kraus operators must share one shape") from None
+        if stack.shape[:1] == (0,):
             raise DimensionError("a channel needs at least one Kraus operator")
-        d_out, d_in = kraus[0].shape
-        if any(k.shape != (d_out, d_in) for k in kraus):
-            raise DimensionError("all Kraus operators must share one shape")
+        if stack.ndim != 3:
+            raise DimensionError(f"expected a stack of Kraus matrices, got shape {stack.shape}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("Kraus entries must be finite")
+        _, d_out, d_in = stack.shape
+        stack.flags.writeable = False  # the derived matrices stay in step with it
         self.d_in = d_in
         self.d_out = d_out
-        self.kraus = tuple(kraus)
-        self.superop = sum(np.kron(k, k.conj()) for k in kraus)
+        self.kraus = stack
+        # kron(K, conj(K)) for every K, summed over the stack in order
+        self.superop = (
+            stack[:, :, None, :, None] * stack.conj()[:, None, :, None, :]
+        ).sum(0).reshape(d_out**2, d_in**2)
+        self._gram = np.einsum("kji,kjl->il", stack.conj(), stack)
         if validate:
             # trace-nonincreasing: sum K†K bounded by the identity
-            gram = sum(k.conj().T @ k for k in kraus)
-            excess = np.linalg.eigvalsh(gram - np.eye(d_in)).max()
+            excess = np.linalg.eigvalsh(self._gram - np.eye(d_in)).max()
             if excess > 100 * tol.atol:
                 raise ValueError(f"channel increases trace by up to {excess:.3e}")
 
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_k vec(K_k) vec(K_k)†``; PSD by construction."""
-        vecs = np.array([vectorize(k) for k in self.kraus])
+        vecs = self.kraus.reshape(len(self.kraus), -1)
         return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
     def is_trace_preserving(self, atol: float = 1e-10) -> bool:
-        gram = sum(k.conj().T @ k for k in self.kraus)
-        return max_abs(gram - np.eye(self.d_in)) <= atol
+        return max_abs(self._gram - np.eye(self.d_in)) <= atol
 
     def apply(self, x) -> np.ndarray:
         x = as_cmat(x, square=True)
@@ -195,20 +211,17 @@ def unitary_channel(u) -> Channel:
 
 def depolarizing_channel(d: int) -> Channel:
     """The fully depolarizing map ``X -> Tr(X) I / d``."""
-    kraus = []
-    for i in range(d):
-        for j in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[i, j] = 1 / np.sqrt(d)
-            kraus.append(k)
-    return Channel(kraus)
+    # Kraus operator i * d + j is the matrix unit E_ij / sqrt(d)
+    return Channel(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))
 
 
 def compose_channels(second: Channel, first: Channel) -> Channel:
-    """Sequential composition ``second o first`` via Kraus products."""
+    """Sequential composition ``second o first`` via Kraus products ``k2 @ k1``
+    (``k2``-major), formed as one batched product."""
     if second.d_in != first.d_out:
         raise DimensionError("intermediate dimensions do not match")
-    return Channel([k2 @ k1 for k2 in second.kraus for k1 in first.kraus])
+    products = second.kraus[:, None] @ first.kraus[None]
+    return Channel(products.reshape(-1, second.d_out, first.d_in))
 
 
 def frame_operator(f: Frame) -> np.ndarray:
@@ -328,10 +341,14 @@ def frame_from_linear_map(m, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[Fram
 def random_frame(
     d: int, size: int, rng: np.random.Generator, labels=None
 ) -> Frame:
-    """A spanning frame of ``size >= d**2`` Ginibre-random elements."""
+    """A spanning frame of ``size >= d**2`` Ginibre-random elements.
+
+    Raises:
+        SingularFrameError: if no draw spans within ``RANDOM_FRAME_MAX_DRAWS``.
+    """
     if size < d**2:
         raise DimensionError(f"need at least {d**2} elements to span, got {size}")
-    while True:
+    for _ in range(RANDOM_FRAME_MAX_DRAWS):
         elements = [
             (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
             for _ in range(size)
@@ -339,6 +356,7 @@ def random_frame(
         frame = Frame(elements, labels=labels)
         if frame.is_spanning():
             return frame
+    raise SingularFrameError(f"no spanning frame found in {RANDOM_FRAME_MAX_DRAWS} draws")
 
 
 def frame_to_json(frame: Frame, dual: Frame | None = None) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, SpanningError
 from .frames import Channel
-from .linalg import DEFAULT_TOL, Tolerance, as_cmat, haar_unitary, max_abs, vectorize
+from .linalg import DEFAULT_TOL, Tolerance, as_cmat, haar_isometry, haar_unitary, max_abs, vectorize
 
 __all__ = [
     "GptSystem",
@@ -243,9 +243,9 @@ def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:
         raise DimensionError(f"channel dimensions must lie in 1..{MAX_QUANTUM_DIM}")
     rng = np.random.default_rng(seed)
     env = d_in * d_out
-    isometry = haar_unitary(d_out * env, rng)[:, :d_in]
-    kraus = [isometry[e::env, :] for e in range(env)]
-    return Channel(kraus)
+    isometry = haar_isometry(d_out * env, d_in, rng)
+    # Kraus operator e takes the isometry rows e, e + env, e + 2 env, ...
+    return Channel(isometry.reshape(d_out, env, d_in).transpose(1, 0, 2))
 
 
 def channel_to_process(ch: Channel, source: GptSystem, target: GptSystem,

@@ -34,6 +34,7 @@ __all__ = [
     "rank_range",
     "numerical_rank",
     "haar_unitary",
+    "haar_isometry",
     "cmat_to_json",
     "cmat_from_json",
 ]
@@ -164,8 +165,18 @@ def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    return haar_isometry(dim, dim, rng)
+
+
+def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``cols`` columns of :func:`haar_unitary` for the same ``rng``.
+
+    The full ``dim x dim`` Ginibre matrix is drawn, so the generator advances
+    exactly as for a unitary; only its first ``cols`` columns are formed and
+    QR-factored.
+    """
+    re, im = rng.standard_normal((2, dim, dim))
+    q, r = np.linalg.qr((re[:, :cols] + 1j * im[:, :cols]) / np.sqrt(2))
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases.conj()

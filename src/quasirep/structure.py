@@ -353,8 +353,16 @@ def verify_decomposition(
     products, the right through the extracted maps and the complexified
     real-coordinate matrix of each channel.
     """
-    chi_out = extract_chi(rep, sys_out)
-    phi_in = extract_phi(rep, sys_in, tol=tol)
+    return _decomposition_residual(
+        rep, sys_in, sys_out, extract_chi(rep, sys_out), extract_phi(rep, sys_in, tol=tol), channels
+    )
+
+
+def _decomposition_residual(
+    rep: Representation, sys_in: GptSystem, sys_out: GptSystem,
+    chi_out: np.ndarray, phi_in: np.ndarray, channels,
+) -> float:
+    """:func:`verify_decomposition` with the extracted maps supplied."""
     worst = 0.0
     for ch in channels:
         lhs = rep.apply(sys_in.label, sys_out.label, ch)
@@ -409,9 +417,10 @@ class AuditReport:
         }
 
 
-def _discard_residual(rep: Representation, sys: GptSystem) -> float:
+def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray | None = None) -> float:
     """Deviation of the represented discard from the summation functional."""
-    chi = extract_chi(rep, sys)
+    if chi is None:
+        chi = extract_chi(rep, sys)
     ones = np.ones(rep.slot(sys.label).size, dtype=complex)
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
@@ -466,13 +475,12 @@ def audit_representation(
                 g1 = rep.apply(sys_a.label, sys_b.label, ch1)
                 g2 = rep.apply(sys_a.label, sys_b.label, ch2)
                 w = rng.uniform(0, 1)
-                mixture = Channel(
-                    [np.sqrt(w) * k for k in ch1.kraus] + [np.sqrt(1 - w) * k for k in ch2.kraus]
-                )
-                mixed = rep.apply(sys_a.label, sys_b.label, mixture)
+                kraus = np.concatenate([np.sqrt(w) * ch1.kraus, np.sqrt(1 - w) * ch2.kraus])
+                mixed = rep.apply(sys_a.label, sys_b.label, Channel(kraus))
                 linearity = max(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
 
-    discard = max((_discard_residual(rep, s) for s in systems), default=0.0)
+    chis = {s.label: extract_chi(rep, s) for s in systems}
+    discard = max((_discard_residual(rep, s, chis[s.label]) for s in systems), default=0.0)
     functorial = all(
         max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size)) <= IDEMPOTENCY_ATOL
         for s in systems
@@ -482,8 +490,8 @@ def audit_representation(
     dim_ok = True
     try:
         for sys in systems:
-            chi = extract_chi(rep, sys)
-            dim_ok &= numerical_rank(chi, tol) == rep.slot(sys.label).coord_dim
+            dim_ok &= numerical_rank(chis[sys.label], tol) == rep.slot(sys.label).coord_dim
+        phis = {s.label: extract_phi(rep, s, chis[s.label], tol) for s in quantum}
         rng = np.random.default_rng((seed, trials))
         for sys_a in quantum:
             for sys_b in quantum:
@@ -491,9 +499,10 @@ def audit_representation(
                     random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
                     for _ in range(max(1, trials // 4))
                 ]
-                decomposition = max(
-                    decomposition, verify_decomposition(rep, sys_a, sys_b, channels, tol)
+                residual = _decomposition_residual(
+                    rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label], channels
                 )
+                decomposition = max(decomposition, residual)
     except (InjectivityError, NonIdempotentError):
         dim_ok = False
         decomposition = float("inf")

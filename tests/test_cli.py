@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep.cli import EXIT_CHECK_FAILED, EXIT_CONSTRUCTION, EXIT_OK, main
 from quasirep.frames import canonical_dual, frame_to_json, random_frame
@@ -223,3 +227,49 @@ def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content):
     assert main(argv) == EXIT_CONSTRUCTION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("audit", {"trials": None}),
+        ("audit", {"seed": [1]}),
+        ("audit", {"tol": {}}),
+        ("coherence", {"dims": 5}),
+        ("audit", {"systems": [{"system": 5}]}),
+        ("audit", {"systems": [{"system": "quantum:2", "frame-file": 5}]}),
+        ("coherence", {"out": ["report.json"]}),
+    ],
+    ids=["trials-null", "seed-list", "tol-object", "dims-number", "system-number",
+         "frame-file-number", "out-list"],
+)
+def test_wrong_typed_config_value_is_construction_error(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == EXIT_CONSTRUCTION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NOT_A_NUMBER = st.one_of(
+    st.none(),
+    st.lists(st.none() | st.text(alphabet="abc", min_size=1, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.text(alphabet="abc:,", min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("audit", "seed"), ("audit", "trials"), ("audit", "tol"),
+                     ("coherence", "seed"), ("coherence", "trials"), ("coherence", "dims"),
+                     ("kd-table", "dim"), ("kd-table", "seed")]),
+    _NOT_A_NUMBER,
+)
+def test_fuzzed_config_values_exit_2(tmp_path_factory, target, value):
+    command, key = target
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main([command, "--config", str(path)]) == EXIT_CONSTRUCTION
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

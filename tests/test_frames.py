@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError, ReconstructionError, SingularFrameError
 from quasirep.frames import (
+    RANDOM_FRAME_MAX_DRAWS,
     Channel,
     DualPair,
     Frame,
@@ -334,6 +337,102 @@ class TestChannel:
         ch = unitary_channel(u)
         x = random_complex_matrix(rng, 3)
         assert max_abs(ch.apply(x) - u @ x @ u.conj().T) <= 1e-12
+
+
+@st.composite
+def kraus_stacks(draw, max_ops=8, max_dim=4):
+    """Complex ``(n, d_out, d_in)`` stacks, square or not."""
+    n = draw(st.integers(1, max_ops))
+    d_out = draw(st.integers(1, max_dim))
+    d_in = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal((n, d_out, d_in))
+
+
+def _contraction(stack):
+    """``stack`` scaled so that ``sum K†K <= I``: a valid Kraus family."""
+    gram = np.einsum("kji,kjl->il", stack.conj(), stack)
+    return stack / np.sqrt(np.linalg.eigvalsh(gram).max())
+
+
+class TestChannelStack:
+    """The stacked-Kraus build against the per-operator reference formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_stacks())
+    def test_superop_equals_kron_sum(self, stack):
+        ch = Channel(list(stack), validate=False)
+        assert ch.kraus.shape == stack.shape
+        reference = sum(np.kron(k, k.conj()) for k in stack)
+        if ch.superop.size > 1:
+            assert np.array_equal(ch.superop, reference)  # same terms, same order
+        else:
+            # numpy sums a 1-element result pairwise once n >= 8: rounding only
+            n = len(stack)
+            assert max_abs(ch.superop - reference) <= n * np.finfo(float).eps * max_abs(reference)
+        gram = sum(k.conj().T @ k for k in stack)
+        assert max_abs(ch._gram - gram) <= 1e-12 * max(1.0, max_abs(gram))
+        choi = sum(np.outer(vectorize(k), vectorize(k).conj()) for k in stack)
+        assert max_abs(ch.choi() - choi) <= 1e-12 * max(1.0, max_abs(choi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=5, max_size=5), st.integers(0, 2**32 - 1))
+    def test_compose_is_k2_major_kraus_products(self, sizes, seed):
+        n2, n1, d_out, d_mid, d_in = sizes
+        rng = np.random.default_rng(seed)
+        second = Channel(_contraction(random_complex_matrix(rng, n2 * d_out, d_mid)
+                                      .reshape(n2, d_out, d_mid)))
+        first = Channel(_contraction(random_complex_matrix(rng, n1 * d_mid, d_in)
+                                     .reshape(n1, d_mid, d_in)))
+        composed = compose_channels(second, first)
+        reference = np.array([k2 @ k1 for k2 in second.kraus for k1 in first.kraus])
+        assert max_abs(composed.kraus - reference) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(kraus_stacks(), st.data())
+    def test_malformed_stacks_rejected(self, stack, data):
+        _, d_out, d_in = stack.shape
+        with pytest.raises(DimensionError):
+            Channel(stack[:0])
+        with pytest.raises(DimensionError):
+            Channel([])
+        with pytest.raises(DimensionError):
+            Channel(list(stack) + [np.ones((d_out + 1, d_in))])
+        with pytest.raises(DimensionError):
+            Channel(stack[0])
+        bad = stack.copy()
+        index = tuple(data.draw(st.integers(0, m - 1)) for m in bad.shape)
+        bad[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf, 1j * np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            Channel(bad, validate=False)
+
+    def test_stack_is_a_private_copy(self):
+        k = np.eye(2, dtype=complex)[None].copy()
+        ch = Channel(k)
+        k[0] *= 0.5
+        assert ch.kraus[0, 0, 0] == 1 and ch.is_trace_preserving()
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 2
+
+    def test_trace_preserving_and_depolarizing(self):
+        for d in (1, 2, 3):
+            ch = depolarizing_channel(d)
+            assert ch.is_trace_preserving()
+            x = random_complex_matrix(np.random.default_rng(d), d)
+            assert max_abs(ch.apply(x) - np.trace(x) * np.eye(d) / d) <= 1e-12
+        assert not Channel([np.eye(2) * 0.5]).is_trace_preserving()
+
+
+class _ZeroGenerator:
+    """Draws only zeros, so no family it produces spans."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_random_frame_gives_up_after_draw_cap():
+    with pytest.raises(SingularFrameError, match=str(RANDOM_FRAME_MAX_DRAWS)):
+        random_frame(2, 4, _ZeroGenerator())
 
 
 class TestSerialization:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError
 from quasirep.linalg import (
@@ -10,6 +12,7 @@ from quasirep.linalg import (
     cmat_from_json,
     cmat_to_json,
     devectorize,
+    haar_isometry,
     haar_unitary,
     hs_inner,
     max_abs,
@@ -132,6 +135,30 @@ def test_tolerance_defaults():
 def test_haar_unitary(rng):
     u = haar_unitary(4, rng)
     assert max_abs(u.conj().T @ u - np.eye(4)) <= 1e-12
+
+
+def _haar_unitary_reference(dim, rng):
+    """Full QR of two separately drawn ``dim x dim`` Gaussian blocks, phases fixed."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases.conj()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 64), st.data(), st.integers(0, 2**32 - 1))
+def test_haar_isometry_is_leading_columns_of_haar_unitary(dim, data, seed):
+    cols = data.draw(st.integers(1, dim))
+    thin_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    v = haar_isometry(dim, cols, thin_rng)
+    assert np.array_equal(v, haar_unitary(dim, full_rng)[:, :cols])
+    # same draws consumed: the generators continue identically
+    assert thin_rng.standard_normal() == full_rng.standard_normal()
+    assert np.array_equal(
+        haar_unitary(dim, np.random.default_rng(seed)),
+        _haar_unitary_reference(dim, np.random.default_rng(seed)),
+    )
+    assert max_abs(v.conj().T @ v - np.eye(cols)) <= 1e-12
 
 
 class TestJson:

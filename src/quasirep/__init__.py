@@ -4,13 +4,11 @@ structure: every empirically adequate, linearity-preserving representation
 factors through a state map, a complexified process and an effect map."""
 
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    RANK_RTOL,
     cmat_from_json,
     cmat_to_json,
     devectorize,
     hs_inner,
-    hs_norm,
     max_abs,
     rank_range,
     vectorize,
@@ -18,13 +16,9 @@ from .linalg import (
 from .complexify import (
     CoherenceReport,
     PairVector,
-    RealSpace,
-    RealToComplexMap,
-    ComplexifiedSpace,
     complexify_map,
     embed,
     monoidal_coherence,
-    unique_extension,
 )
 from .frames import (
     BornProbe,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,9 +72,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _coerce(kind: type, value, name: str):
-    """``kind(value)``; a config value of the wrong JSON type is a parse error."""
+    """``kind(value)``; a wrong JSON type, a boolean or a fractional int is a parse error."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        result = kind(value)
+        if kind is int and isinstance(value, float) and result != value:
+            raise ValueError
+        return result
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
 
@@ -145,6 +151,8 @@ def run_audit(cfg: dict) -> int:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tol_value = _coerce(float, cfg.get("tol", DECOMPOSITION_ATOL), "tol")
+    if not (math.isfinite(tol_value) and tol_value >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol_value!r}")
 
     entries = cfg.get("systems")
     if entries is None:

@@ -8,49 +8,35 @@ A complexified vector lives in two encodings:
 * the **coordinate encoding** ``w1 + i w2`` in ``C^n`` used everywhere
   downstream.
 
-``pair_to_coord``/``coord_to_pair`` fix the isomorphism between the two.
+``pair_to_coord`` fixes the isomorphism between the two.
 Real-linear maps complexify entrywise: ``complexify_map`` returns the same
 matrix with entries promoted to complex, which acts on pairs componentwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .linalg import max_abs
 
 __all__ = [
-    "RealSpace",
-    "ComplexifiedSpace",
     "PairVector",
-    "RealToComplexMap",
     "embed",
     "complex_structure",
     "scalar_mul",
     "apply_complexified",
     "pair_to_coord",
-    "coord_to_pair",
     "pair_kron",
     "complexify_map",
-    "unique_extension",
     "CoherenceReport",
     "monoidal_coherence",
 ]
 
-
-@dataclass(frozen=True)
-class RealSpace:
-    """A finite-dimensional real vector space, identified by dimension."""
-
-    dim: int
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DimensionError("real space dimension must be >= 1")
+# Entrywise ceiling of the unit and multiplication isomorphism checks.
+COHERENCE_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,33 +62,6 @@ class PairVector:
         """Both components as one real vector of length ``2 * dim``."""
         return np.concatenate([self.real, self.imag])
 
-    @classmethod
-    def from_stack(cls, v: np.ndarray) -> "PairVector":
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.size % 2:
-            raise DimensionError("stacked pair must have even length")
-        half = v.size // 2
-        return cls(v[:half], v[half:])
-
-
-@dataclass(frozen=True)
-class ComplexifiedSpace:
-    """Complexification of a real space: two copies plus a complex structure."""
-
-    base: RealSpace
-    structure: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "structure", complex_structure(self.base.dim))
-
-    @property
-    def dim_complex(self) -> int:
-        """Dimension over the complex field; equals the real base dimension."""
-        return self.base.dim
-
-    def embed(self, w) -> PairVector:
-        return embed(w, dim=self.base.dim)
-
 
 def complex_structure(dim: int) -> np.ndarray:
     """The real ``2*dim`` matrix J with ``J @ J == -identity``.
@@ -115,13 +74,11 @@ def complex_structure(dim: int) -> np.ndarray:
     return np.block([[zero, -eye], [eye, zero]])
 
 
-def embed(w, dim: int | None = None) -> PairVector:
+def embed(w) -> PairVector:
     """Standard embedding ``w -> (w, 0)`` of a real vector."""
     v = np.asarray(w, dtype=float)
     if v.ndim != 1:
         raise DimensionError("embed expects a real vector")
-    if dim is not None and v.size != dim:
-        raise DimensionError(f"expected length {dim}, got {v.size}")
     return PairVector(v, np.zeros_like(v))
 
 
@@ -142,13 +99,6 @@ def apply_complexified(f, p: PairVector) -> PairVector:
 def pair_to_coord(p: PairVector) -> np.ndarray:
     """Coordinate encoding ``w1 + i w2`` in ``C^dim``."""
     return p.real + 1j * p.imag
-
-
-def coord_to_pair(z) -> PairVector:
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        raise DimensionError("expected a complex vector")
-    return PairVector(z.real.copy(), z.imag.copy())
 
 
 def pair_kron(p: PairVector, q: PairVector) -> PairVector:
@@ -179,34 +129,6 @@ def complexify_map(f) -> np.ndarray:
     if not np.all(np.isfinite(fm)):
         raise ValueError("map entries must be finite")
     return fm.astype(complex)
-
-
-@dataclass(frozen=True, eq=False)
-class RealToComplexMap:
-    """A real-linear map into a complex space, split as ``P + iQ``."""
-
-    real_part: np.ndarray
-    imag_part: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.real_part, dtype=float)
-        q = np.asarray(self.imag_part, dtype=float)
-        if p.shape != q.shape or p.ndim != 2:
-            raise DimensionError("real and imaginary parts must be matrices of equal shape")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise ValueError("map entries must be finite")
-        object.__setattr__(self, "real_part", p)
-        object.__setattr__(self, "imag_part", q)
-
-
-def unique_extension(fhat: RealToComplexMap) -> np.ndarray:
-    """The unique complex-linear extension of ``fhat`` through the embedding.
-
-    Returns the matrix ``F = P + iQ`` acting on coordinate encodings; it is
-    the only complex-linear map satisfying ``F @ embed(w) == fhat(w)`` for
-    every real ``w``.
-    """
-    return fhat.real_part + 1j * fhat.imag_part
 
 
 @dataclass(frozen=True)
@@ -247,23 +169,23 @@ def _random_pair(rng: np.random.Generator, dim: int) -> PairVector:
     return PairVector(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim))
 
 
-def _check_epsilon(rng: np.random.Generator, tol: Tolerance) -> bool:
-    """epsilon maps a complex scalar to the pair (x, y); must be a complex-linear iso."""
-    j = complex_structure(1)
+def _unit(z: complex) -> PairVector:
+    """The unit map epsilon: a complex scalar as the one-entry pair ``(Re z, Im z)``."""
+    return PairVector(np.array([z.real]), np.array([z.imag]))
+
+
+def _check_epsilon(rng: np.random.Generator) -> bool:
+    """epsilon is complex-linear, ``i eps(z) == eps(i z)`` under :func:`scalar_mul`,
+    and :func:`pair_to_coord` inverts it exactly."""
     ok = True
     for _ in range(10):
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        enc = np.array([z.real, z.imag])
-        # C-linearity wrt the pair-encoding structure: eps(i z) = J eps(z)
-        iz = 1j * z
-        lhs = np.array([iz.real, iz.imag])
-        ok &= max_abs(lhs - j @ enc) <= tol.atol
-        # invertibility: round-trip is exact
-        ok &= complex(enc[0], enc[1]) == z
+        ok &= _pair_residual(scalar_mul(1j, _unit(z)), _unit(1j * z)) <= COHERENCE_ATOL
+        ok &= complex(pair_to_coord(_unit(z))[0]) == z
     return ok
 
 
-def _check_mu_iso(dim_w: int, dim_v: int, tol: Tolerance) -> bool:
+def _check_mu_iso(dim_w: int, dim_v: int) -> bool:
     """Verify mu and its basis-built inverse compose to the identity both ways.
 
     The inverse is defined on the product basis: the pair ``(e_i (x) e_j, 0)``
@@ -281,13 +203,13 @@ def _check_mu_iso(dim_w: int, dim_v: int, tol: Tolerance) -> bool:
             zero = np.zeros_like(target)
             # forward on the pulled-back simple tensors
             fwd_re = pair_kron(embed(ei), embed(ej))
-            ok &= _pair_residual(fwd_re, PairVector(target, zero)) <= tol.atol
+            ok &= _pair_residual(fwd_re, PairVector(target, zero)) <= COHERENCE_ATOL
             fwd_im = pair_kron(embed(ei), PairVector(np.zeros_like(ej), ej))
-            ok &= _pair_residual(fwd_im, PairVector(zero, target)) <= tol.atol
+            ok &= _pair_residual(fwd_im, PairVector(zero, target)) <= COHERENCE_ATOL
             # inverse after forward, in coordinates: both basis tensors return
             coord = np.kron(ei.astype(complex), ej.astype(complex))
-            ok &= max_abs(pair_to_coord(fwd_re) - coord) <= tol.atol
-            ok &= max_abs(pair_to_coord(fwd_im) - 1j * coord) <= tol.atol
+            ok &= max_abs(pair_to_coord(fwd_re) - coord) <= COHERENCE_ATOL
+            ok &= max_abs(pair_to_coord(fwd_im) - 1j * coord) <= COHERENCE_ATOL
     return ok
 
 
@@ -297,7 +219,6 @@ def monoidal_coherence(
     trials: int = 50,
     seed: int = 0,
     dim_z: int = 2,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> CoherenceReport:
     """Numerically verify the monoidal coherence of the complexification.
 
@@ -315,8 +236,8 @@ def monoidal_coherence(
         raise DimensionError("dimensions must be >= 1")
     rng = np.random.default_rng(seed)
 
-    epsilon_iso = _check_epsilon(rng, tol)
-    mu_iso = _check_mu_iso(dim_w, dim_v, tol)
+    epsilon_iso = _check_epsilon(rng)
+    mu_iso = _check_mu_iso(dim_w, dim_v)
 
     naturality = 0.0
     associativity = 0.0
@@ -338,7 +259,7 @@ def monoidal_coherence(
 
         # unitality: multiplying with an embedded scalar equals scalar action
         alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        alpha_pair = PairVector(np.array([alpha.real]), np.array([alpha.imag]))
+        alpha_pair = _unit(alpha)
         scaled = scalar_mul(alpha, a)
         unitality = max(unitality, _pair_residual(pair_kron(alpha_pair, a), scaled))
         unitality = max(unitality, _pair_residual(pair_kron(a, alpha_pair), scaled))

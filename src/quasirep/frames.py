@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import DimensionError, ReconstructionError, SingularFrameError
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
     as_cmat,
     cmat_from_json,
     cmat_to_json,
@@ -59,6 +57,11 @@ __all__ = [
 # entrywise threshold (the canonical dual of a mildly conditioned frame sits
 # orders of magnitude below it).
 RECONSTRUCTION_ATOL = 1e-9
+# Validated channels may exceed trace preservation (the largest eigenvalue of
+# ``sum K†K - I``) by at most this much; trace preservation itself is
+# entrywise within TRACE_PRESERVING_ATOL.
+TRACE_EXCESS_ATOL = 1e-8
+TRACE_PRESERVING_ATOL = 1e-10
 # Ginibre families of at least d**2 elements span with probability one, so
 # running out of draws means the generator is degenerate, not unlucky.
 RANDOM_FRAME_MAX_DRAWS = 100
@@ -92,11 +95,11 @@ class Frame:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def spanning_rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return numerical_rank(self.vec_matrix, tol)
+    def spanning_rank(self) -> int:
+        return numerical_rank(self.vec_matrix)
 
-    def is_spanning(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.spanning_rank(tol) == self.dim**2
+    def is_spanning(self) -> bool:
+        return self.spanning_rank() == self.dim**2
 
 
 class DualPair:
@@ -143,8 +146,8 @@ class DualPair:
         """Overlap matrix ``Tr(F_l† G_l')``; the identity iff biorthogonal."""
         return self.frame.vec_matrix.conj() @ self.dual.vec_matrix.T
 
-    def is_biorthogonal(self, atol: float = RECONSTRUCTION_ATOL) -> bool:
-        return max_abs(self.gram() - np.eye(len(self))) <= atol
+    def is_biorthogonal(self) -> bool:
+        return max_abs(self.gram() - np.eye(len(self))) <= RECONSTRUCTION_ATOL
 
 
 class Channel:
@@ -157,7 +160,7 @@ class Channel:
     shaped matrices, or such a stack, is accepted.
     """
 
-    def __init__(self, kraus, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, kraus, validate: bool = True):
         try:
             stack = np.array(kraus, dtype=complex)
         except ValueError:
@@ -183,7 +186,7 @@ class Channel:
         if validate:
             # trace-nonincreasing: sum K†K bounded by the identity
             excess = np.linalg.eigvalsh(self._gram - np.eye(d_in)).max()
-            if excess > 100 * tol.atol:
+            if excess > TRACE_EXCESS_ATOL:
                 raise ValueError(f"channel increases trace by up to {excess:.3e}")
 
     def choi(self) -> np.ndarray:
@@ -191,8 +194,8 @@ class Channel:
         vecs = self.kraus.reshape(len(self.kraus), -1)
         return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
-    def is_trace_preserving(self, atol: float = 1e-10) -> bool:
-        return max_abs(self._gram - np.eye(self.d_in)) <= atol
+    def is_trace_preserving(self) -> bool:
+        return max_abs(self._gram - np.eye(self.d_in)) <= TRACE_PRESERVING_ATOL
 
     def apply(self, x) -> np.ndarray:
         x = as_cmat(x, square=True)
@@ -234,7 +237,7 @@ def frame_operator(f: Frame) -> np.ndarray:
     return np.einsum("li,lj->ij", v, v.conj())
 
 
-def canonical_dual(f: Frame, tol: Tolerance = DEFAULT_TOL) -> DualPair:
+def canonical_dual(f: Frame) -> DualPair:
     """Dual pair with ``G_l = S^{-1}(F_l)``.
 
     Raises:
@@ -242,7 +245,7 @@ def canonical_dual(f: Frame, tol: Tolerance = DEFAULT_TOL) -> DualPair:
             (the frame operator is then singular and no dual exists).
     """
     s = frame_operator(f)
-    rank = f.spanning_rank(tol)
+    rank = f.spanning_rank()
     if rank < f.dim**2:
         raise SingularFrameError(
             f"frame spans only {rank} of {f.dim**2} dimensions; no canonical dual"
@@ -321,7 +324,7 @@ def born_probe(pair: DualPair, rho, eff) -> BornProbe:
     return BornProbe(lhs, rhs)
 
 
-def frame_from_linear_map(m, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[Frame, bool]:
+def frame_from_linear_map(m, d: int) -> tuple[Frame, bool]:
     """Extract the unique frame realizing a linear map into coefficients.
 
     Given a matrix ``m`` whose row ``l`` implements a linear functional on
@@ -334,7 +337,7 @@ def frame_from_linear_map(m, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[Fram
     if m.shape[1] != d**2:
         raise DimensionError(f"expected {d**2} columns for dimension {d}, got {m.shape[1]}")
     elements = [devectorize(row.conj(), (d, d)) for row in m]
-    faithful = numerical_rank(m, tol) == d**2
+    faithful = numerical_rank(m) == d**2
     return Frame(elements), faithful
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, SpanningError
 from .frames import Channel
-from .linalg import DEFAULT_TOL, Tolerance, as_cmat, haar_isometry, haar_unitary, max_abs, vectorize
+from .linalg import as_cmat, haar_isometry, haar_unitary, max_abs, vectorize
 
 __all__ = [
     "GptSystem",
@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 MAX_QUANTUM_DIM = 4
+# Entrywise ceiling on the imaginary part of real coordinates and on the
+# residual of a prepare-and-measure decomposition.
+COORDS_ATOL = 1e-10
+# Slack of the nonnegativity and column-sum checks of a classical process.
+SUBSTOCHASTIC_ATOL = 1e-12
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -79,10 +84,10 @@ def basis_isomorphism(d: int) -> np.ndarray:
     return np.array([vectorize(h) for h in hermitian_basis(d)]).T
 
 
-def operator_to_coords(x, iso: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def operator_to_coords(x, iso: np.ndarray) -> np.ndarray:
     """Real coordinates of a self-adjoint operator in the fixed basis."""
     z = iso.conj().T @ vectorize(as_cmat(x, square=True))
-    if max_abs(z.imag) > atol:
+    if max_abs(z.imag) > COORDS_ATOL:
         raise ValueError("operator is not self-adjoint: coordinates are complex")
     return z.real.copy()
 
@@ -179,10 +184,11 @@ class GptProcess:
             raise ValueError("process entries must be finite")
         object.__setattr__(self, "matrix", m)
 
-    def is_substochastic(self, atol: float = 1e-12) -> bool:
+    def is_substochastic(self) -> bool:
         """Nonnegative entries with column sums at most one (classical kind)."""
         m = self.matrix
-        return bool(np.all(m >= -atol) and np.all(m.sum(axis=0) <= 1 + atol))
+        return bool(np.all(m >= -SUBSTOCHASTIC_ATOL)
+                    and np.all(m.sum(axis=0) <= 1 + SUBSTOCHASTIC_ATOL))
 
 
 def make_system(kind: str, dim: int, seed: int = 0, label: str | None = None) -> GptSystem:
@@ -200,7 +206,7 @@ def _prepare_measure_columns(sys_states: np.ndarray, sys_effects: np.ndarray) ->
     return np.array(cols).T
 
 
-def identity_resolution(sys: GptSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def identity_resolution(sys: GptSystem) -> np.ndarray:
     """Coefficients ``t`` with ``sum_ij t_ij s_i e_j = id`` on the system.
 
     Minimal-norm least-squares solution (unique for spanning bases,
@@ -209,23 +215,23 @@ def identity_resolution(sys: GptSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     Raises:
         SpanningError: if no solution reaches the residual tolerance.
     """
-    return _decompose_matrix(sys.states, sys.effects, np.eye(sys.real_dim), tol)
+    return _decompose_matrix(sys.states, sys.effects, np.eye(sys.real_dim))
 
 
-def tomographic_decompose(proc: GptProcess, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def tomographic_decompose(proc: GptProcess) -> np.ndarray:
     """Coefficients ``r`` with ``T = sum_ij r_ij s_i e_j``.
 
     States are drawn from the target system and effects from the source, so
     the prepare-and-measure pairs have the type of ``T``.
     """
-    return _decompose_matrix(proc.target.states, proc.source.effects, proc.matrix, tol)
+    return _decompose_matrix(proc.target.states, proc.source.effects, proc.matrix)
 
 
-def _decompose_matrix(states, effects, target, tol: Tolerance) -> np.ndarray:
+def _decompose_matrix(states, effects, target) -> np.ndarray:
     design = _prepare_measure_columns(states, effects)
     coeff, *_ = np.linalg.lstsq(design, target.reshape(-1), rcond=None)
     residual = max_abs(design @ coeff - target.reshape(-1))
-    if residual > max(tol.atol, 1e-10):
+    if residual > COORDS_ATOL:
         raise SpanningError(
             f"prepare-measure pairs do not span the target: residual {residual:.3e}"
         )
@@ -248,19 +254,18 @@ def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:
     return Channel(isometry.reshape(d_out, env, d_in).transpose(1, 0, 2))
 
 
-def channel_to_process(ch: Channel, source: GptSystem, target: GptSystem,
-                       atol: float = 1e-10) -> GptProcess:
+def channel_to_process(ch: Channel, source: GptSystem, target: GptSystem) -> GptProcess:
     """Express a quantum channel in the systems' real coordinates.
 
     Completely positive maps preserve self-adjointness, so the coordinate
-    matrix is real; a residual imaginary part above ``atol`` is an error.
+    matrix is real; a residual imaginary part above ``COORDS_ATOL`` is an error.
     """
     if not (source.is_quantum and target.is_quantum):
         raise DimensionError("channel_to_process needs quantum systems")
     if ch.d_in != source.dim or ch.d_out != target.dim:
         raise DimensionError("channel dimensions do not match the systems")
     m = target.iso.conj().T @ ch.superop @ source.iso
-    if max_abs(m.imag) > atol:
+    if max_abs(m.imag) > COORDS_ATOL:
         raise ValueError("channel does not preserve self-adjointness")
     return GptProcess(source, target, m.real.copy())
 

@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import DimensionError, NonFaithfulBasesError
 from .frames import DualPair, Frame
-from .linalg import DEFAULT_TOL, Tolerance, as_cmat, haar_unitary, max_abs
+from .linalg import as_cmat, haar_unitary, max_abs
 from .structure import Representation, build_representation
 
 __all__ = [
     "KdBases",
     "OVERLAP_FLOOR",
+    "UNITARITY_ATOL",
     "kd_distribution",
     "kd_frame_pair",
     "kd_representation",
@@ -33,6 +34,8 @@ __all__ = [
 # Overlaps at or below this magnitude count as zero: the dual elements carry
 # 1/<b|a> and would blow up numerically past it.
 OVERLAP_FLOOR = 1e-10
+# Entrywise ceiling of ``B† B - I`` for a basis matrix to count as unitary.
+UNITARITY_ATOL = 1e-7
 
 
 class KdBases:
@@ -43,15 +46,14 @@ class KdBases:
     condition for the associated frame to exist.
     """
 
-    def __init__(self, basis_a, basis_b, a_labels=None, b_labels=None,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, basis_a, basis_b, a_labels=None, b_labels=None):
         a = as_cmat(basis_a, square=True)
         b = as_cmat(basis_b, square=True)
         if a.shape != b.shape:
             raise DimensionError("both bases must have the same dimension")
         d = a.shape[0]
         for name, m in (("a", a), ("b", b)):
-            if max_abs(m.conj().T @ m - np.eye(d)) > max(1e3 * tol.atol, 1e-7):
+            if max_abs(m.conj().T @ m - np.eye(d)) > UNITARITY_ATOL:
                 raise ValueError(f"basis {name} is not unitary")
         self.dim = d
         self.basis_a = a

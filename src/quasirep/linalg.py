@@ -7,27 +7,23 @@ Conventions fixed here and relied on everywhere else:
 * Vectorization is **row-major**: ``vectorize(A)[i * cols + j] == A[i, j]``.
   With this choice ``vectorize(A @ X @ B) == kron(A, B.T) @ vectorize(X)`` and
   ``Tr(F† X) == vectorize(F).conj() @ vectorize(X)``.
-* Numerical rank uses the relative threshold ``rtol * sigma_max`` on singular
-  values.
+* Numerical rank uses the relative threshold ``RANK_RTOL * sigma_max`` on
+  singular values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "RANK_RTOL",
     "as_cmat",
     "as_cvec",
-    "dagger",
     "hs_inner",
-    "hs_norm",
     "max_abs",
     "vectorize",
     "devectorize",
@@ -40,23 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative thresholds for approximate identities.
-
-    ``atol`` guards entrywise equalities, ``rtol`` guards rank decisions and
-    inversion quality (as a fraction of the largest singular value).
-    """
-
-    atol: float = 1e-10
-    rtol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-
-DEFAULT_TOL = Tolerance()
+# Singular values at or below this fraction of the largest count as zero in
+# every rank decision.
+RANK_RTOL = 1e-8
 
 
 def as_cmat(a, *, square: bool = False) -> np.ndarray:
@@ -81,11 +63,6 @@ def as_cvec(v) -> np.ndarray:
     return w
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product ``Tr(a† b)``.
 
@@ -100,11 +77,6 @@ def hs_inner(a, b) -> complex:
     if am.shape != bm.shape:
         raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
     return complex(np.vdot(am, bm))
-
-
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm ``sqrt(Tr(a† a))``."""
-    return float(np.linalg.norm(as_cmat(a)))
 
 
 def max_abs(a) -> float:
@@ -135,10 +107,10 @@ def devectorize(v, shape: tuple[int, int] | None = None) -> np.ndarray:
     return w.reshape(shape).copy()
 
 
-def rank_range(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndarray]:
+def rank_range(a) -> tuple[int, np.ndarray, np.ndarray]:
     """Numerical rank, orthonormal range basis and Moore-Penrose inverse.
 
-    Singular values at or below ``tol.rtol * sigma_max`` are treated as zero.
+    Singular values at or below ``RANK_RTOL * sigma_max`` are treated as zero.
     A zero matrix yields rank 0, an empty basis and a zero pseudo-inverse.
 
     Returns:
@@ -148,7 +120,7 @@ def rank_range(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.nda
     """
     m = as_cmat(a)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cut = tol.rtol * s[0] if s.size and s[0] > 0 else 0.0
+    cut = RANK_RTOL * s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cut))
     basis = u[:, :rank]
     if rank:
@@ -158,9 +130,9 @@ def rank_range(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.nda
     return rank, basis, pinv
 
 
-def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
+def numerical_rank(a) -> int:
     """Rank of ``a`` under the package-wide singular-value threshold."""
-    return rank_range(a, tol)[0]
+    return rank_range(a)[0]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

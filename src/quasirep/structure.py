@@ -41,8 +41,6 @@ from .gpt import (
     random_effect,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
     as_cmat,
     devectorize,
     max_abs,
@@ -213,10 +211,7 @@ def extract_chi(rep: Representation, sys: GptSystem) -> np.ndarray:
     return images @ sys.t.astype(complex) @ effect_rows
 
 
-def extract_phi(
-    rep: Representation, sys: GptSystem, chi: np.ndarray | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def extract_phi(rep: Representation, sys: GptSystem, chi: np.ndarray | None = None) -> np.ndarray:
     """The effect map ``phi`` fixed by ``chi`` and the identity image.
 
     Implemented as the Moore-Penrose inverse of ``chi`` (equal to the inverse
@@ -229,7 +224,7 @@ def extract_phi(
     if chi is None:
         chi = extract_chi(rep, sys)
     slot = rep.slot(sys.label)
-    rank, _, pinv = rank_range(chi, tol)
+    rank, _, pinv = rank_range(chi)
     if rank < slot.coord_dim:
         raise InjectivityError(
             f"state map has rank {rank} < {slot.coord_dim}; not injective"
@@ -256,12 +251,12 @@ class ChiPhi:
     hilbert_dim: int
     labels: tuple
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         d2 = self.chi.shape[1]
         left = max_abs(self.phi @ self.chi - np.eye(d2))
         if left > SEMIFUNCTORIAL_ATOL:
             raise InjectivityError(f"phi is not a left inverse of chi (residual {left:.3e})")
-        if numerical_rank(self.chi, tol) != d2:
+        if numerical_rank(self.chi) != d2:
             raise InjectivityError("chi is not injective")
         d = self.chi @ self.phi
         residual = max_abs(d @ d - d)
@@ -269,28 +264,28 @@ class ChiPhi:
             raise NonIdempotentError(f"chi @ phi is not idempotent (residual {residual:.3e})")
 
 
-def extract_chi_phi(rep: Representation, sys: GptSystem, tol: Tolerance = DEFAULT_TOL) -> ChiPhi:
+def extract_chi_phi(rep: Representation, sys: GptSystem) -> ChiPhi:
     chi = extract_chi(rep, sys)
-    phi = extract_phi(rep, sys, chi, tol)
+    phi = extract_phi(rep, sys, chi)
     pair = ChiPhi(chi=chi, phi=phi, hilbert_dim=sys.dim, labels=rep.slot(sys.label).labels)
-    pair.validate(tol)
+    pair.validate()
     return pair
 
 
-def split_idempotent(d_mat, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def split_idempotent(d_mat) -> tuple[np.ndarray, np.ndarray]:
     """Factor an idempotent as ``D = iota @ pi`` with ``pi @ iota = I_r``.
 
     ``iota`` holds an orthonormal basis of the image; since ``D`` acts as the
     identity on its image, ``pi = iota† @ D`` completes the splitting.
 
     Raises:
-        NonIdempotentError: when ``D @ D`` differs from ``D`` beyond tolerance.
+        NonIdempotentError: when ``D @ D`` differs from ``D`` beyond ``IDEMPOTENCY_ATOL``.
     """
     d_mat = as_cmat(d_mat, square=True)
     residual = max_abs(d_mat @ d_mat - d_mat)
-    if residual > max(tol.atol, IDEMPOTENCY_ATOL):
+    if residual > IDEMPOTENCY_ATOL:
         raise NonIdempotentError(f"matrix is not idempotent: residual {residual:.3e}")
-    _, basis, _ = rank_range(d_mat, tol)
+    _, basis, _ = rank_range(d_mat)
     iota = basis
     pi = basis.conj().T @ d_mat
     return iota, pi
@@ -299,7 +294,6 @@ def split_idempotent(d_mat, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
 def splitting_isomorphism(
     s1: tuple[np.ndarray, np.ndarray],
     s2: tuple[np.ndarray, np.ndarray],
-    atol: float = SEMIFUNCTORIAL_ATOL,
 ) -> np.ndarray:
     """The unique intertwiner connecting two splittings of one idempotent.
 
@@ -315,7 +309,7 @@ def splitting_isomorphism(
     if i1.shape[0] != i2.shape[0]:
         raise DimensionError("splittings act on different spaces")
     gap = max_abs(i1 @ p1 - i2 @ p2)
-    if gap > atol:
+    if gap > SEMIFUNCTORIAL_ATOL:
         raise SplittingMismatchError(f"factorizations split different idempotents (gap {gap:.3e})")
     xi = p2 @ i1
     checks = (
@@ -324,7 +318,7 @@ def splitting_isomorphism(
         max_abs(xi @ (p1 @ i2) - np.eye(xi.shape[0])),
     )
     worst = max(checks)
-    if worst > atol:
+    if worst > SEMIFUNCTORIAL_ATOL:
         raise SplittingMismatchError(f"intertwining identities fail (residual {worst:.3e})")
     return xi
 
@@ -341,11 +335,7 @@ def _complexified_process(ch: Channel, sys_in: GptSystem, sys_out: GptSystem) ->
 
 
 def verify_decomposition(
-    rep: Representation,
-    sys_in: GptSystem,
-    sys_out: GptSystem,
-    channels,
-    tol: Tolerance = DEFAULT_TOL,
+    rep: Representation, sys_in: GptSystem, sys_out: GptSystem, channels
 ) -> float:
     """Largest residual of ``Gamma(T) = chi_out @ C(T) @ phi_in`` over ``channels``.
 
@@ -354,7 +344,7 @@ def verify_decomposition(
     real-coordinate matrix of each channel.
     """
     return _decomposition_residual(
-        rep, sys_in, sys_out, extract_chi(rep, sys_out), extract_phi(rep, sys_in, tol=tol), channels
+        rep, sys_in, sys_out, extract_chi(rep, sys_out), extract_phi(rep, sys_in), channels
     )
 
 
@@ -430,7 +420,6 @@ def audit_representation(
     systems: list[GptSystem],
     trials: int = 20,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> AuditReport:
     """Sample-based audit of every defining property of a representation.
 
@@ -486,12 +475,19 @@ def audit_representation(
         for s in systems
     )
 
+    # one rank decision per system: dim_check holds iff every chi is injective
+    phis = {}
+    for sys in systems:
+        try:
+            phis[sys.label] = extract_phi(rep, sys, chis[sys.label])
+        except InjectivityError:
+            pass
+    dim_ok = len(phis) == len(systems)
+
     decomposition = 0.0
-    dim_ok = True
-    try:
-        for sys in systems:
-            dim_ok &= numerical_rank(chis[sys.label], tol) == rep.slot(sys.label).coord_dim
-        phis = {s.label: extract_phi(rep, s, chis[s.label], tol) for s in quantum}
+    if any(s.label not in phis for s in quantum):
+        decomposition = float("inf")
+    else:
         rng = np.random.default_rng((seed, trials))
         for sys_a in quantum:
             for sys_b in quantum:
@@ -503,9 +499,6 @@ def audit_representation(
                     rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label], channels
                 )
                 decomposition = max(decomposition, residual)
-    except (InjectivityError, NonIdempotentError):
-        dim_ok = False
-        decomposition = float("inf")
 
     semif, adequacy = float(semif), float(adequacy)
     linearity, discard = float(linearity), float(discard)

@@ -216,8 +216,11 @@ class TestCoherence:
         (["audit", "--config"], {"systems": ["quantum:2"]}),
         (["audit", "--config"], [1, 2]),
         (["kd-table", "--bases", "fourier", "--dim", "0"], None),
+        (["audit", "--tol", "nan"], None),
+        (["audit", "--tol", "-1"], None),
     ],
-    ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0"],
+    ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
+         "tol-nan", "tol-negative"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content):
     if content is not None:
@@ -239,9 +242,13 @@ def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content):
         ("audit", {"systems": [{"system": 5}]}),
         ("audit", {"systems": [{"system": "quantum:2", "frame-file": 5}]}),
         ("coherence", {"out": ["report.json"]}),
+        ("audit", {"trials": 2.7, "seed": 1.9}),
+        ("audit", {"trials": True}),
+        ("coherence", {"dims": [2.5, 3]}),
     ],
     ids=["trials-null", "seed-list", "tol-object", "dims-number", "system-number",
-         "frame-file-number", "out-list"],
+         "frame-file-number", "out-list", "fractional-trials-seed", "trials-bool",
+         "fractional-dims"],
 )
 def test_wrong_typed_config_value_is_construction_error(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
@@ -249,6 +256,14 @@ def test_wrong_typed_config_value_is_construction_error(tmp_path, capsys, comman
     assert main([command, "--config", str(path)]) == EXIT_CONSTRUCTION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integral_config_values_are_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    path.write_text(json.dumps({"dims": ["2", 3.0], "trials": 2.0, "seed": "4", "out": str(out)}))
+    assert main(["coherence", "--config", str(path)]) == EXIT_OK
+    assert json.loads(out.read_text())["seed"] == 4
 
 
 _NOT_A_NUMBER = st.one_of(

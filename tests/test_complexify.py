@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
+from quasirep import complexify
 from quasirep.complexify import (
-    ComplexifiedSpace,
     PairVector,
-    RealSpace,
-    RealToComplexMap,
     complex_structure,
     complexify_map,
     embed,
@@ -13,9 +11,7 @@ from quasirep.complexify import (
     pair_kron,
     pair_to_coord,
     scalar_mul,
-    unique_extension,
 )
-from quasirep.errors import DimensionError
 from quasirep.linalg import max_abs, numerical_rank
 
 
@@ -39,15 +35,6 @@ class TestEmbed:
     def test_structure_squares_to_minus_identity(self):
         j = complex_structure(3)
         assert np.array_equal(j @ j, -np.eye(6))
-
-    def test_length_mismatch(self):
-        space = ComplexifiedSpace(RealSpace(2))
-        with pytest.raises(DimensionError):
-            space.embed(np.ones(3))
-
-    def test_complex_dimension_equals_real(self):
-        for n in (1, 2, 5):
-            assert ComplexifiedSpace(RealSpace(n)).dim_complex == n
 
 
 class TestComplexifyMap:
@@ -90,42 +77,6 @@ class TestComplexifyMap:
         assert max_abs(out.imag - f @ p.imag) == 0
 
 
-class TestUniqueExtension:
-    def test_one_dimensional(self):
-        fhat = RealToComplexMap(np.array([[1.0]]), np.array([[1.0]]))
-        ext = unique_extension(fhat)
-        assert np.array_equal(ext, np.array([[1 + 1j]]))
-        # agrees with the raw map on embedded reals: x -> x + ix
-        for x in (0.5, -2.0):
-            coord = pair_to_coord(embed(np.array([x])))
-            assert ext @ coord == pytest.approx(x + 1j * x)
-
-    def test_zero_imaginary_part_reduces_to_promotion(self, rng):
-        p = rng.standard_normal((3, 2))
-        fhat = RealToComplexMap(p, np.zeros_like(p))
-        assert np.array_equal(unique_extension(fhat), complexify_map(p))
-
-    def test_conjugation_fails_linearity(self):
-        # z -> conj(z)(1+i) matches the extension on embedded reals but is
-        # not complex-linear, so only the extension passes both checks
-        fhat = RealToComplexMap(np.array([[1.0]]), np.array([[1.0]]))
-        ext = unique_extension(fhat)
-
-        def candidate(z):
-            return np.conj(z) * (1 + 1j)
-
-        for x in (1.0, -0.3):
-            z = complex(pair_to_coord(embed(np.array([x])))[0])
-            assert candidate(z) == pytest.approx(complex((ext @ [z])[0]))
-        probe = 1j * complex(pair_to_coord(embed(np.array([1.0])))[0])
-        assert candidate(probe) != pytest.approx(1j * candidate(1.0))
-        assert complex((ext @ [probe])[0]) == pytest.approx(1j * complex((ext @ [1.0])[0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            RealToComplexMap(np.ones((2, 2)), np.ones((2, 3)))
-
-
 class TestCoherence:
     def test_dims_one_is_complex_multiplication(self, rng):
         for _ in range(10):
@@ -158,6 +109,17 @@ class TestCoherence:
             "seed",
         }
         assert data["seed"] == 3
+
+    def test_epsilon_check_catches_a_sign_error(self, monkeypatch):
+        # i(a + bi) = -b + ai; a scalar_mul that flips the real part is not
+        # complex-linear, and the unit check must say so
+        def wrong_sign(alpha, p):
+            a, b = alpha.real, alpha.imag
+            return PairVector(b * p.imag - a * p.real, b * p.real + a * p.imag)
+
+        assert monoidal_coherence(2, 2, trials=1, seed=5).epsilon_iso
+        monkeypatch.setattr(complexify, "scalar_mul", wrong_sign)
+        assert not monoidal_coherence(2, 2, trials=1, seed=5).epsilon_iso
 
     def test_scalar_mul_matches_structure(self, rng):
         p = PairVector(rng.standard_normal(3), rng.standard_normal(3))

@@ -1,0 +1,56 @@
+"""Every exported name resolves, and the benchmark tracer still binds to the package.
+
+Deleting a public or traced name must fail here, not only in a traced
+benchmark run.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import quasirep
+from quasirep.frames import Channel
+from quasirep.structure import Representation
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES_WITH_ALL = ("linalg", "complexify", "frames", "kirkwood_dirac", "gpt", "structure")
+
+
+@pytest.mark.parametrize("name", MODULES_WITH_ALL)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"quasirep.{name}")
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(quasirep.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"quasirep.{node.module}")
+        for alias in node.names:
+            assert getattr(module, alias.name) is getattr(quasirep, alias.name)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = _load_tracing()
+    owners = [quasirep, *tracing.MODULES.values(), Channel, Representation]
+    before = [dict(vars(owner)) for owner in owners]
+    with tracing.Tracer() as tracer:
+        quasirep.frames.identity_channel(2)
+        quasirep.linalg.numerical_rank([[1.0]])
+    assert tracer.calls["frames.Channel"] == 1
+    assert tracer.calls["linalg.numerical_rank"] == 1
+    assert [dict(vars(owner)) for owner in owners] == before

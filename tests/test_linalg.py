@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError
 from quasirep.linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    RANK_RTOL,
     cmat_from_json,
     cmat_to_json,
     devectorize,
@@ -122,14 +121,7 @@ class TestRankRange:
         m = random_complex_matrix(rng, 4)
         _, _, pinv = rank_range(m)
         _, _, back = rank_range(pinv)
-        assert max_abs(back - m) <= DEFAULT_TOL.rtol * max_abs(m) * 100
-
-
-def test_tolerance_defaults():
-    tol = Tolerance()
-    assert tol.atol == 1e-10 and tol.rtol == 1e-8
-    with pytest.raises(ValueError):
-        Tolerance(atol=-1)
+        assert max_abs(back - m) <= RANK_RTOL * max_abs(m) * 100
 
 
 def test_haar_unitary(rng):

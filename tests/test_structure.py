@@ -363,6 +363,27 @@ class TestAudit:
         report = audit_representation(rep, [qubit, qutrit], trials=3, seed=6)
         assert report.all_core_pass and report.functorial
 
+    def test_rank_deficient_chi_fails_dim_check(self, qubit):
+        # a quantum chi of rank 3 < 4 has no phi, so nothing decomposes; a
+        # classical one fails the rank check while the quantum pairs decompose
+        rep, _ = kd_rep(qubit)
+        slot = rep.slot(qubit.label)
+        crippled = slot.rep.copy()
+        crippled[-1] = 0
+        broken = Representation(
+            {qubit.label: SystemSlot(slot.labels, crippled, slot.recon)}, validate=False
+        )
+        report = audit_representation(broken, [qubit], trials=2, seed=0)
+        assert not report.dim_check and report.decomposition_residual == float("inf")
+
+        bits = make_system("classical", 3)
+        lossy = SystemSlot(["0", "1", "2"], np.diag([1.0, 1.0, 0.0]), np.eye(3))
+        mixed = Representation({qubit.label: slot, bits.label: lossy}, validate=False)
+        report = audit_representation(mixed, [qubit, bits], trials=2, seed=0)
+        healthy = audit_representation(rep, [qubit], trials=2, seed=0)
+        assert not report.dim_check and healthy.dim_check
+        assert report.decomposition_residual == healthy.decomposition_residual <= 1e-8
+
 
 class TestFramesFromChiPhi:
     def test_round_trip(self, qubit, rng):

@@ -8,7 +8,6 @@ from .linalg import (
     cmat_from_json,
     cmat_to_json,
     devectorize,
-    hs_inner,
     max_abs,
     rank_range,
     vectorize,

@@ -167,6 +167,8 @@ def run_audit(cfg: dict) -> int:
     for entry in entries:
         kind, dim = _parse_system_spec(entry.get("system", "quantum:2"))
         sys_obj = make_system(kind, dim, seed=seed)
+        if sys_obj.label in slots:
+            raise ValueError(f"system {sys_obj.label!r} is listed more than once")
         systems.append(sys_obj)
         slots[sys_obj.label] = _audit_slot(entry, sys_obj)
 

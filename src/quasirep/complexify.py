@@ -3,8 +3,9 @@
 A complexified vector lives in two encodings:
 
 * the **pair encoding** ``(w1, w2)`` of two real vectors with the complex
-  structure ``J (w1, w2) = (-w2, w1)`` playing the role of multiplication
-  by ``i`` (this is where the monoidal coherence maps are nontrivial), and
+  structure ``J (w1, w2) = (-w2, w1)`` (``scalar_mul(1j, .)``) playing the
+  role of multiplication by ``i`` (this is where the monoidal coherence maps
+  are nontrivial), and
 * the **coordinate encoding** ``w1 + i w2`` in ``C^n`` used everywhere
   downstream.
 
@@ -25,7 +26,6 @@ from .linalg import max_abs
 __all__ = [
     "PairVector",
     "embed",
-    "complex_structure",
     "scalar_mul",
     "apply_complexified",
     "pair_to_coord",
@@ -61,17 +61,6 @@ class PairVector:
     def stack(self) -> np.ndarray:
         """Both components as one real vector of length ``2 * dim``."""
         return np.concatenate([self.real, self.imag])
-
-
-def complex_structure(dim: int) -> np.ndarray:
-    """The real ``2*dim`` matrix J with ``J @ J == -identity``.
-
-    On stacked pairs it sends ``(w1, w2)`` to ``(-w2, w1)``, i.e. it is the
-    pair-encoding form of multiplication by ``i``.
-    """
-    eye = np.eye(dim)
-    zero = np.zeros((dim, dim))
-    return np.block([[zero, -eye], [eye, zero]])
 
 
 def embed(w) -> PairVector:
@@ -116,7 +105,7 @@ def pair_kron(p: PairVector, q: PairVector) -> PairVector:
 
 
 def complexify_map(f) -> np.ndarray:
-    """Promote a real matrix to the matrix of its complexified map.
+    """Promote a real matrix (or a stack of them) to its complexified map.
 
     The result acts on coordinate encodings; on pair encodings the same map
     acts componentwise (see :func:`apply_complexified`).  The promotion is
@@ -124,8 +113,8 @@ def complexify_map(f) -> np.ndarray:
     complexify_map(f)``) and faithful.
     """
     fm = np.asarray(f, dtype=float)
-    if fm.ndim != 2:
-        raise DimensionError("complexify_map expects a matrix")
+    if fm.ndim not in (2, 3):
+        raise DimensionError("complexify_map expects a matrix or a stack of matrices")
     if not np.all(np.isfinite(fm)):
         raise ValueError("map entries must be finite")
     return fm.astype(complex)

@@ -33,6 +33,7 @@ __all__ = [
     "Frame",
     "DualPair",
     "Channel",
+    "channel_stack",
     "BornProbe",
     "frame_operator",
     "canonical_dual",
@@ -156,8 +157,9 @@ class Channel:
     The Kraus operators are held as one read-only ``(n, d_out, d_in)``
     complex array, ``kraus``, copied from the input, which is ground truth;
     the superoperator matrix acting on row-major vectorizations and the
-    gram ``sum K†K`` are derived from it once.  Any sequence of equally
-    shaped matrices, or such a stack, is accepted.
+    gram ``sum K†K`` are derived from it once, by :func:`channel_stack`,
+    which builds many channels at once.  Any sequence of equally shaped
+    matrices, or such a stack, is accepted.
     """
 
     def __init__(self, kraus, validate: bool = True):
@@ -178,16 +180,7 @@ class Channel:
         self.d_in = d_in
         self.d_out = d_out
         self.kraus = stack
-        # kron(K, conj(K)) for every K, summed over the stack in order
-        self.superop = (
-            stack[:, :, None, :, None] * stack.conj()[:, None, :, None, :]
-        ).sum(0).reshape(d_out**2, d_in**2)
-        self._gram = np.einsum("kji,kjl->il", stack.conj(), stack)
-        if validate:
-            # trace-nonincreasing: sum K†K bounded by the identity
-            excess = np.linalg.eigvalsh(self._gram - np.eye(d_in)).max()
-            if excess > TRACE_EXCESS_ATOL:
-                raise ValueError(f"channel increases trace by up to {excess:.3e}")
+        self.superop, self._gram = channel_stack(stack, validate)
 
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_k vec(K_k) vec(K_k)†``; PSD by construction."""
@@ -202,6 +195,37 @@ class Channel:
         if x.shape[0] != self.d_in:
             raise DimensionError(f"operator of dim {x.shape[0]} fed to channel with d_in={self.d_in}")
         return devectorize(self.superop @ vectorize(x), (self.d_out, self.d_out))
+
+
+def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Superoperators and grams of Kraus families ``(..., n, d_out, d_in)``.
+
+    Each superoperator is ``sum_e kron(K_e, conj(K_e))``, acting on row-major
+    vectorizations, accumulated over the Kraus index in order so that memory
+    stays at one superoperator per family; each gram is ``sum_e K_e† K_e``.
+    With ``validate``, one batched eigenvalue call checks that no family
+    increases the trace (largest eigenvalue of ``gram - I`` at most
+    ``TRACE_EXCESS_ATOL``); a :class:`Channel` is this on a single family.
+
+    Returns:
+        ``(superops, grams)`` of shapes ``(..., d_out**2, d_in**2)`` and
+        ``(..., d_in, d_in)``.
+
+    Raises:
+        ValueError: if ``validate`` and some family increases the trace.
+    """
+    kraus = np.asarray(kraus)
+    *batch, n, d_out, d_in = kraus.shape
+    conj = kraus.conj()
+    superops = kraus[..., 0, :, None, :, None] * conj[..., 0, None, :, None, :]
+    for e in range(1, n):
+        superops += kraus[..., e, :, None, :, None] * conj[..., e, None, :, None, :]
+    grams = np.einsum("...kji,...kjl->...il", conj, kraus)
+    if validate:
+        excess = np.linalg.eigvalsh(grams - np.eye(d_in)).max()
+        if excess > TRACE_EXCESS_ATOL:
+            raise ValueError(f"channel increases trace by up to {excess:.3e}")
+    return superops.reshape(*batch, d_out**2, d_in**2), grams
 
 
 def identity_channel(d: int) -> Channel:

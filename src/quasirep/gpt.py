@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, SpanningError
 from .frames import Channel
-from .linalg import as_cmat, haar_isometry, haar_unitary, max_abs, vectorize
+from .linalg import as_cmat, haar_isometries, max_abs, vectorize
 
 __all__ = [
     "GptSystem",
@@ -37,9 +37,13 @@ __all__ = [
     "identity_resolution",
     "tomographic_decompose",
     "random_channel",
+    "random_kraus",
     "channel_to_process",
+    "process_matrices",
     "random_density",
     "random_effect",
+    "density_stack",
+    "effect_stack",
     "system_to_json",
     "system_from_json",
     "process_to_json",
@@ -245,42 +249,76 @@ def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:
     ``d_in`` columns of a Haar unitary on the output-plus-environment space,
     so the Kraus operators satisfy ``sum K†K = I`` exactly.
     """
+    return Channel(random_kraus(d_in, d_out, [seed])[0])
+
+
+def random_kraus(d_in: int, d_out: int, seeds) -> np.ndarray:
+    """Kraus stacks of :func:`random_channel` for each seed, built at once.
+
+    Returns shape ``(len(seeds), d_in * d_out, d_out, d_in)``.  Each channel
+    draws its own ``(2, dim, dim)`` normal block from ``default_rng(seed)``
+    (``dim = d_out * d_in * d_out``) and keeps its first ``d_in`` columns;
+    one batched QR turns them into the Stinespring isometries.
+    """
     if not (1 <= d_in <= MAX_QUANTUM_DIM and 1 <= d_out <= MAX_QUANTUM_DIM):
         raise DimensionError(f"channel dimensions must lie in 1..{MAX_QUANTUM_DIM}")
-    rng = np.random.default_rng(seed)
     env = d_in * d_out
-    isometry = haar_isometry(d_out * env, d_in, rng)
+    dim = d_out * env
+    normals = np.empty((len(seeds), 2, dim, d_in))
+    for i, seed in enumerate(seeds):
+        normals[i] = np.random.default_rng(seed).standard_normal((2, dim, dim))[..., :d_in]
+    isometries = haar_isometries(normals)
     # Kraus operator e takes the isometry rows e, e + env, e + 2 env, ...
-    return Channel(isometry.reshape(d_out, env, d_in).transpose(1, 0, 2))
+    return isometries.reshape(-1, d_out, env, d_in).transpose(0, 2, 1, 3)
 
 
 def channel_to_process(ch: Channel, source: GptSystem, target: GptSystem) -> GptProcess:
-    """Express a quantum channel in the systems' real coordinates.
+    """Express a quantum channel in the systems' real coordinates."""
+    return GptProcess(source, target, process_matrices(ch.superop, source, target))
+
+
+def process_matrices(superops, source: GptSystem, target: GptSystem) -> np.ndarray:
+    """Real coordinate matrices of channel superoperators (a matrix or a stack).
 
     Completely positive maps preserve self-adjointness, so the coordinate
-    matrix is real; a residual imaginary part above ``COORDS_ATOL`` is an error.
+    matrices are real; a residual imaginary part above ``COORDS_ATOL`` is an
+    error.
     """
     if not (source.is_quantum and target.is_quantum):
         raise DimensionError("channel_to_process needs quantum systems")
-    if ch.d_in != source.dim or ch.d_out != target.dim:
+    if np.shape(superops)[-2:] != (target.dim**2, source.dim**2):
         raise DimensionError("channel dimensions do not match the systems")
-    m = target.iso.conj().T @ ch.superop @ source.iso
+    m = target.iso.conj().T @ superops @ source.iso
     if max_abs(m.imag) > COORDS_ATOL:
         raise ValueError("channel does not preserve self-adjointness")
-    return GptProcess(source, target, m.real.copy())
+    return m.real.copy()
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     """Trace-one positive operator from a normalized Ginibre product."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return density_stack(rng.standard_normal((2, d, d)))
+
+
+def density_stack(normals) -> np.ndarray:
+    """Density operators ``g g† / Tr(g g†)`` from ``(..., 2, d, d)`` normal
+    draws (real and imaginary parts of ``g``)."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_effect(d: int, rng: np.random.Generator) -> np.ndarray:
     """Subnormalized effect ``V† diag(u) V`` with Haar ``V`` and ``u in [0,1]``."""
-    v = haar_unitary(d, rng)
-    return v.conj().T @ np.diag(rng.uniform(0, 1, d)) @ v
+    normals = rng.standard_normal((2, d, d))
+    return effect_stack(normals, rng.uniform(0, 1, d))
+
+
+def effect_stack(normals, weights) -> np.ndarray:
+    """Effects ``V† diag(u) V`` from the ``(..., 2, d, d)`` normal draws of the
+    Haar unitaries ``V`` and the ``(..., d)`` weights ``u``."""
+    v = haar_isometries(normals)
+    diag = weights[..., :, None] * np.eye(weights.shape[-1])
+    return np.swapaxes(v.conj(), -1, -2) @ diag @ v
 
 
 def system_to_json(sys: GptSystem) -> dict:

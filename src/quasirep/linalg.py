@@ -23,7 +23,6 @@ __all__ = [
     "RANK_RTOL",
     "as_cmat",
     "as_cvec",
-    "hs_inner",
     "max_abs",
     "vectorize",
     "devectorize",
@@ -31,6 +30,7 @@ __all__ = [
     "numerical_rank",
     "haar_unitary",
     "haar_isometry",
+    "haar_isometries",
     "cmat_to_json",
     "cmat_from_json",
 ]
@@ -61,22 +61,6 @@ def as_cvec(v) -> np.ndarray:
     if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
         raise ValueError("vector entries must be finite")
     return w
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(a† b)``.
-
-    Conjugate-linear in the first argument and linear in the second, so
-    ``hs_inner(x, x)`` is real and nonnegative.
-
-    Raises:
-        DimensionError: if the operands do not share a shape.
-    """
-    am = as_cmat(a)
-    bm = as_cmat(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return complex(np.vdot(am, bm))
 
 
 def max_abs(a) -> float:
@@ -147,11 +131,21 @@ def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     exactly as for a unitary; only its first ``cols`` columns are formed and
     QR-factored.
     """
-    re, im = rng.standard_normal((2, dim, dim))
-    q, r = np.linalg.qr((re[:, :cols] + 1j * im[:, :cols]) / np.sqrt(2))
-    phases = np.diag(r).copy()
+    return haar_isometries(rng.standard_normal((2, dim, dim))[..., :cols])
+
+
+def haar_isometries(normals) -> np.ndarray:
+    """Phase-fixed Q factors of Ginibre matrices given by their normal draws.
+
+    ``normals`` has shape ``(..., 2, rows, cols)``: real and imaginary parts
+    of each ``rows x cols`` Ginibre matrix, ``rows >= cols``.  Each is
+    QR-factored (one batched call for a stack) and the phases of ``R``'s
+    diagonal are moved into ``Q``, which makes the isometry Haar-distributed.
+    """
+    q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2))
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases.conj()
+    return q * phases.conj()[..., None, :]
 
 
 def cmat_to_json(a) -> dict:

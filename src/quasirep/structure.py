@@ -21,6 +21,7 @@ to a unique intertwiner are handled by :func:`split_idempotent` and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +33,9 @@ from .errors import (
     NonIdempotentError,
     SplittingMismatchError,
 )
-from .frames import Channel, DualPair, Frame
-from .gpt import (
-    GptSystem,
-    channel_to_process,
-    random_channel,
-    random_density,
-    random_effect,
-)
-from .linalg import (
-    as_cmat,
-    devectorize,
-    max_abs,
-    numerical_rank,
-    rank_range,
-)
+from .frames import Channel, DualPair, Frame, channel_stack
+from .gpt import GptSystem, density_stack, effect_stack, process_matrices, random_kraus
+from .linalg import as_cmat, devectorize, max_abs, rank_range
 
 __all__ = [
     "SystemSlot",
@@ -73,6 +62,9 @@ ADEQUACY_ATOL = 1e-10
 LINEARITY_ATOL = 1e-9
 DISCARD_ATOL = 1e-9
 DECOMPOSITION_ATOL = 1e-8
+# The audit draws, builds and checks at most this many trials at once, so its
+# memory does not grow with the trial count.
+AUDIT_BLOCK_TRIALS = 64
 
 
 class SystemSlot:
@@ -140,38 +132,50 @@ class Representation:
         return self.slot(system).id_image()
 
     def represent_state(self, system: str, x) -> np.ndarray:
-        """Coefficient vector ``rep @ vec(x)`` of a state (operator or vector)."""
+        """Coefficient vector ``rep @ vec(x)`` of a state (operator or vector),
+        or one row per operator of a ``(..., d, d)`` stack."""
         slot = self.slot(system)
-        return slot.rep @ _coord_vector(slot, x)
+        return (slot.rep @ _coord_vectors(slot, x)[..., None])[..., 0]
 
     def represent_effect(self, system: str, e) -> np.ndarray:
-        """Covector ``conj(vec(e)) @ recon``; conjugate-linear in ``e``."""
+        """Covector ``conj(vec(e)) @ recon``; conjugate-linear in ``e``.
+        Stacks of operators give one covector per operator."""
         slot = self.slot(system)
-        return _coord_vector(slot, e).conj() @ slot.recon
+        return (_coord_vectors(slot, e)[..., None, :].conj() @ slot.recon)[..., 0, :]
 
     def apply(self, system_in: str, system_out: str, process) -> np.ndarray:
         """Representation matrix ``rep_out @ M @ recon_in`` of a process.
 
-        ``M`` is the superoperator of a :class:`Channel` or a plain process
-        matrix on the coordinate spaces; a mismatched shape raises
-        :class:`DimensionError`.
+        ``M`` is the superoperator of a :class:`Channel`, a plain process
+        matrix on the coordinate spaces, or a ``(B, out, in)`` stack of them
+        (giving a stack of representation matrices); a mismatched shape
+        raises :class:`DimensionError`.
         """
         slot_in = self.slot(system_in)
         slot_out = self.slot(system_out)
-        m = process.superop if isinstance(process, Channel) else as_cmat(process)
-        if m.shape != (slot_out.coord_dim, slot_in.coord_dim):
+        if isinstance(process, Channel):
+            m = process.superop
+        else:
+            m = np.asarray(process, dtype=complex)
+            if m.ndim not in (2, 3):
+                raise DimensionError(f"expected a process matrix or a stack, got ndim={m.ndim}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("process entries must be finite")
+        if m.shape[-2:] != (slot_out.coord_dim, slot_in.coord_dim):
             raise DimensionError(
-                f"process matrix {m.shape} does not map the coordinate spaces "
+                f"process matrix {m.shape[-2:]} does not map the coordinate spaces "
                 f"{slot_in.coord_dim} -> {slot_out.coord_dim}"
             )
         return slot_out.rep @ m @ slot_in.recon
 
 
-def _coord_vector(slot: SystemSlot, x) -> np.ndarray:
-    """Row-major flattening of ``x`` (the ``vectorize`` convention), size-checked."""
-    v = np.asarray(x, dtype=complex).reshape(-1)
-    if v.size != slot.coord_dim:
-        raise DimensionError(f"input size {v.size} != coordinate dimension {slot.coord_dim}")
+def _coord_vectors(slot: SystemSlot, x) -> np.ndarray:
+    """Row-major flattening (the ``vectorize`` convention), size-checked: of
+    ``x`` itself for an operator or vector, of each operator of a stack."""
+    v = np.asarray(x, dtype=complex)
+    v = v.reshape(v.shape[:-2] + (-1,)) if v.ndim > 2 else v.reshape(-1)
+    if v.shape[-1] != slot.coord_dim:
+        raise DimensionError(f"input size {v.shape[-1]} != coordinate dimension {slot.coord_dim}")
     return v
 
 
@@ -252,12 +256,16 @@ class ChiPhi:
     labels: tuple
 
     def validate(self) -> None:
+        """Check ``phi @ chi == I`` and that ``chi @ phi`` is idempotent.
+
+        A left inverse makes ``chi`` injective; the rank itself is decided
+        once, by :func:`extract_phi`, which rejects a rank-deficient ``chi``
+        before any pair is built.
+        """
         d2 = self.chi.shape[1]
         left = max_abs(self.phi @ self.chi - np.eye(d2))
         if left > SEMIFUNCTORIAL_ATOL:
             raise InjectivityError(f"phi is not a left inverse of chi (residual {left:.3e})")
-        if numerical_rank(self.chi) != d2:
-            raise InjectivityError("chi is not injective")
         d = self.chi @ self.phi
         residual = max_abs(d @ d - d)
         if residual > IDEMPOTENCY_ATOL:
@@ -323,14 +331,15 @@ def splitting_isomorphism(
     return xi
 
 
-def _complexified_process(ch: Channel, sys_in: GptSystem, sys_out: GptSystem) -> np.ndarray:
+def _complexified_process(process, sys_in: GptSystem, sys_out: GptSystem) -> np.ndarray:
     """``C(T)`` on the slots' complex coordinates, via the real route.
 
-    The channel is first expressed as a real matrix on the systems' real
-    coordinates, then promoted entrywise and conjugated back by the
-    coordinate isomorphisms.
+    The channel's superoperator (or each of a stack) is first expressed as a
+    real matrix on the systems' real coordinates, then promoted entrywise and
+    conjugated back by the coordinate isomorphisms.
     """
-    t_real = channel_to_process(ch, sys_in, sys_out).matrix
+    superops = process.superop if isinstance(process, Channel) else process
+    t_real = process_matrices(superops, sys_in, sys_out)
     return sys_out.iso @ complexify_map(t_real) @ sys_in.iso.conj().T
 
 
@@ -343,22 +352,25 @@ def verify_decomposition(
     products, the right through the extracted maps and the complexified
     real-coordinate matrix of each channel.
     """
+    superops = [ch.superop for ch in channels]
+    if not superops:
+        return 0.0
+    if len({m.shape for m in superops}) > 1:
+        raise DimensionError("channels of different dimensions")
     return _decomposition_residual(
-        rep, sys_in, sys_out, extract_chi(rep, sys_out), extract_phi(rep, sys_in), channels
+        rep, sys_in, sys_out, extract_chi(rep, sys_out), extract_phi(rep, sys_in), np.stack(superops)
     )
 
 
 def _decomposition_residual(
     rep: Representation, sys_in: GptSystem, sys_out: GptSystem,
-    chi_out: np.ndarray, phi_in: np.ndarray, channels,
+    chi_out: np.ndarray, phi_in: np.ndarray, superops: np.ndarray,
 ) -> float:
-    """:func:`verify_decomposition` with the extracted maps supplied."""
-    worst = 0.0
-    for ch in channels:
-        lhs = rep.apply(sys_in.label, sys_out.label, ch)
-        rhs = chi_out @ _complexified_process(ch, sys_in, sys_out) @ phi_in
-        worst = max(worst, max_abs(lhs - rhs))
-    return worst
+    """:func:`verify_decomposition` on a ``(B, out, in)`` superoperator stack,
+    with the extracted maps supplied."""
+    lhs = rep.apply(sys_in.label, sys_out.label, superops)
+    rhs = chi_out @ _complexified_process(superops, sys_in, sys_out) @ phi_in
+    return max_abs(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -415,6 +427,81 @@ def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray | Non
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
+def _child_seed(rng: np.random.Generator) -> int:
+    """One channel seed; always a scalar draw (a ``size=`` draw gives other values)."""
+    return int(rng.integers(2**31))
+
+
+def _random_channels(d_in: int, d_out: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stacks and trace-checked superoperators of ``random_channel`` per seed."""
+    kraus = random_kraus(d_in, d_out, seeds)
+    return kraus, channel_stack(kraus)[0]
+
+
+def _audit_block(
+    rep: Representation, quantum: list[GptSystem], seed: int, block: range
+) -> tuple[float, float, float]:
+    """Semi-functoriality, adequacy and linearity residuals over a block of trials.
+
+    Every sample of the block is drawn first, trial by trial in the order of
+    the sampling contract (see :func:`audit_representation`).  Then each
+    channel role (``T1`` and ``T2`` of a triple, the linearity pair of a
+    system pair) is built for the whole block as one stack, and each residual
+    is taken over stacked products.  Only one triple's or pair's stacks are
+    alive at a time, which keeps memory at a few stacks of the block size.
+    """
+    n, size = len(quantum), len(block)
+    # sf_seeds[t, a, b, c] seeds T1: a -> b and T2: b -> c of triple (a, b, c)
+    sf_seeds = np.empty((size, n, n, n, 2), dtype=np.int64)
+    lin_seeds = np.empty((size, n, n, 2), dtype=np.int64)
+    mix_weights = np.empty((size, n, n))
+    state_normals = [np.empty((size, 2, s.dim, s.dim)) for s in quantum]
+    effect_normals = [np.empty((size, 2, s.dim, s.dim)) for s in quantum]
+    effect_weights = [np.empty((size, s.dim)) for s in quantum]
+    for t, trial in enumerate(block):
+        rng = np.random.default_rng((seed, trial))
+        sf_seeds[t].flat = [_child_seed(rng) for _ in range(2 * n**3)]
+        for i, sys in enumerate(quantum):
+            state_normals[i][t] = rng.standard_normal((2, sys.dim, sys.dim))
+            effect_normals[i][t] = rng.standard_normal((2, sys.dim, sys.dim))
+            effect_weights[i][t] = rng.uniform(0, 1, sys.dim)
+        for i, j in np.ndindex(n, n):
+            lin_seeds[t, i, j] = _child_seed(rng), _child_seed(rng)
+            mix_weights[t, i, j] = rng.uniform(0, 1)
+
+    semif = 0.0
+    for (i, a), (j, b), (k, c) in itertools.product(enumerate(quantum), repeat=3):
+        _, s1 = _random_channels(a.dim, b.dim, sf_seeds[:, i, j, k, 0])
+        _, s2 = _random_channels(b.dim, c.dim, sf_seeds[:, i, j, k, 1])
+        whole = rep.apply(a.label, c.label, s2 @ s1)
+        product = rep.apply(b.label, c.label, s2) @ rep.apply(a.label, b.label, s1)
+        semif = max(semif, max_abs(whole - product))
+
+    adequacy = 0.0
+    for i, sys in enumerate(quantum):
+        rho = density_stack(state_normals[i])
+        eff = effect_stack(effect_normals[i], effect_weights[i])
+        mu = rep.represent_state(sys.label, rho)
+        xi = rep.represent_effect(sys.label, eff)
+        gap = (xi[:, None, :] @ mu[:, :, None])[:, 0, 0] - np.trace(eff @ rho, axis1=1, axis2=2)
+        # hypot is the scalar complex abs; the array abs may differ in the last bit
+        adequacy = max(adequacy, np.hypot(gap.real, gap.imag).max())
+
+    linearity = 0.0
+    for (i, a), (j, b) in itertools.product(enumerate(quantum), repeat=2):
+        kraus, stack = _random_channels(a.dim, b.dim, lin_seeds[:, i, j].reshape(-1))
+        kraus = kraus.reshape(size, 2, *kraus.shape[1:])
+        gamma = rep.apply(a.label, b.label, stack)
+        gamma = gamma.reshape(size, 2, *gamma.shape[1:])
+        w = mix_weights[:, i, j, None, None]
+        mixture = np.concatenate(
+            [np.sqrt(w[..., None]) * kraus[:, 0], np.sqrt(1 - w[..., None]) * kraus[:, 1]], axis=1
+        )
+        mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
+        linearity = max(linearity, max_abs(mixed - (w * gamma[:, 0] + (1 - w) * gamma[:, 1])))
+    return semif, adequacy, linearity
+
+
 def audit_representation(
     rep: Representation,
     systems: list[GptSystem],
@@ -423,50 +510,39 @@ def audit_representation(
 ) -> AuditReport:
     """Sample-based audit of every defining property of a representation.
 
-    Each trial draws its own child generator from ``(seed, index)`` so runs
-    are reproducible and trials independent.  Failures never raise; they
-    surface as report fields.
+    Failures never raise; they surface as report fields.
 
     Semi-functoriality represents the composed superoperator ``S2 @ S1``
     against ``Gamma(T2) @ Gamma(T1)``, which tests reconstruction on the
     intermediate system; linearity represents the mixture built from the
     Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum.
+
+    Sampling contract (what makes a report a function of ``seed`` and
+    ``trials`` alone, however the work is batched): trial ``t`` draws from
+    its own child generator ``default_rng((seed, t))``, in this order:
+
+    1. for each triple ``(a, b, c)`` of quantum systems, in nested order,
+       the seeds of ``T1: a -> b`` and ``T2: b -> c``;
+    2. for each quantum system, the state (two ``d x d`` normal blocks) and
+       then the effect (a ``(2, d, d)`` normal block, then ``d`` uniforms);
+    3. for each pair ``(a, b)``, the seeds of the two channels and the
+       weight ``w``.
+
+    Every seed is a scalar ``integers(2**31)`` draw, and each channel draws
+    its own normal block from ``default_rng(seed)`` (see
+    :func:`~quasirep.gpt.random_kraus`).  The decomposition check draws, per
+    pair, ``max(1, trials // 4)`` channel seeds from ``default_rng((seed,
+    trials))``.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     quantum = [s for s in systems if s.is_quantum]
 
-    semif = 0.0
-    adequacy = 0.0
-    linearity = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        for sys_a in quantum:
-            for sys_b in quantum:
-                for sys_c in quantum:
-                    ch1 = random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
-                    ch2 = random_channel(sys_b.dim, sys_c.dim, seed=int(rng.integers(2**31)))
-                    gamma1 = rep.apply(sys_a.label, sys_b.label, ch1)
-                    gamma2 = rep.apply(sys_b.label, sys_c.label, ch2)
-                    whole = rep.apply(sys_a.label, sys_c.label, ch2.superop @ ch1.superop)
-                    semif = max(semif, max_abs(whole - gamma2 @ gamma1))
-        for sys in quantum:
-            rho = random_density(sys.dim, rng)
-            eff = random_effect(sys.dim, rng)
-            mu = rep.represent_state(sys.label, rho)
-            xi = rep.represent_effect(sys.label, eff)
-            born = complex(xi @ mu)
-            adequacy = max(adequacy, abs(born - np.trace(eff @ rho)))
-        for sys_a in quantum:
-            for sys_b in quantum:
-                ch1 = random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
-                ch2 = random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
-                g1 = rep.apply(sys_a.label, sys_b.label, ch1)
-                g2 = rep.apply(sys_a.label, sys_b.label, ch2)
-                w = rng.uniform(0, 1)
-                kraus = np.concatenate([np.sqrt(w) * ch1.kraus, np.sqrt(1 - w) * ch2.kraus])
-                mixed = rep.apply(sys_a.label, sys_b.label, Channel(kraus))
-                linearity = max(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
+    semif = adequacy = linearity = 0.0
+    for start in range(0, trials if quantum else 0, AUDIT_BLOCK_TRIALS):
+        block = range(start, min(start + AUDIT_BLOCK_TRIALS, trials))
+        residuals = _audit_block(rep, quantum, seed, block)
+        semif, adequacy, linearity = map(max, (semif, adequacy, linearity), residuals)
 
     chis = {s.label: extract_chi(rep, s) for s in systems}
     discard = max((_discard_residual(rep, s, chis[s.label]) for s in systems), default=0.0)
@@ -489,14 +565,14 @@ def audit_representation(
         decomposition = float("inf")
     else:
         rng = np.random.default_rng((seed, trials))
-        for sys_a in quantum:
-            for sys_b in quantum:
-                channels = [
-                    random_channel(sys_a.dim, sys_b.dim, seed=int(rng.integers(2**31)))
-                    for _ in range(max(1, trials // 4))
-                ]
+        for sys_a, sys_b in itertools.product(quantum, repeat=2):
+            seeds = [_child_seed(rng) for _ in range(max(1, trials // 4))]
+            for start in range(0, len(seeds), AUDIT_BLOCK_TRIALS):
+                _, stack = _random_channels(
+                    sys_a.dim, sys_b.dim, seeds[start:start + AUDIT_BLOCK_TRIALS]
+                )
                 residual = _decomposition_residual(
-                    rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label], channels
+                    rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label], stack
                 )
                 decomposition = max(decomposition, residual)
 

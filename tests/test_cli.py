@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from quasirep.cli import EXIT_CHECK_FAILED, EXIT_CONSTRUCTION, EXIT_OK, main
 from quasirep.frames import canonical_dual, frame_to_json, random_frame
 from quasirep.linalg import cmat_to_json
+from quasirep.structure import AUDIT_BLOCK_TRIALS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -187,6 +191,35 @@ class TestAudit:
         assert code == EXIT_CONSTRUCTION
 
 
+class TestGoldenReports:
+    """Audit reports pinned byte for byte: batching must not change one digit.
+
+    The files under ``tests/golden`` were written by the unbatched audit
+    (one channel at a time), on Python 3.11 with numpy 2.4 and OpenBLAS; a
+    different BLAS or LAPACK build may round residuals differently.
+    """
+
+    def test_qubit_frame_across_a_block_boundary(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main([
+            "audit", "--system", "quantum:2", "--frame-file", str(GOLDEN / "qubit_frame.json"),
+            "--trials", str(AUDIT_BLOCK_TRIALS + 3), "--seed", "1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "qubit_frame_67.report.json").read_bytes()
+
+    def test_mixed_quantum_and_classical_systems(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "report.json"
+        cfg.write_text(json.dumps({
+            "systems": [{"system": "quantum:2"}, {"system": "quantum:3"}, {"system": "classical:2"}],
+            "trials": 5,
+            "seed": 7,
+        }))
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "mixed_5.report.json").read_bytes()
+
+
 class TestCoherence:
     def test_passes_and_writes_json(self, tmp_path):
         out = tmp_path / "coh.json"
@@ -218,9 +251,11 @@ class TestCoherence:
         (["kd-table", "--bases", "fourier", "--dim", "0"], None),
         (["audit", "--tol", "nan"], None),
         (["audit", "--tol", "-1"], None),
+        (["audit", "--config"], {"systems": [{"system": "quantum:2", "bases": "hadamard"},
+                                             {"system": "quantum:2"}]}),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
-         "tol-nan", "tol-negative"],
+         "tol-nan", "tol-negative", "duplicate-system"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content):
     if content is not None:

@@ -4,7 +4,6 @@ import pytest
 from quasirep import complexify
 from quasirep.complexify import (
     PairVector,
-    complex_structure,
     complexify_map,
     embed,
     monoidal_coherence,
@@ -25,16 +24,16 @@ class TestEmbed:
         assert max_abs(p.stack()) == 0
 
     def test_structure_matches_scalar_i(self, rng):
-        # J (w, 0) must equal (0, w), the pair form of i (w + i0)
+        # the complex structure J = scalar_mul(1j, .) sends (w, 0) to (0, w),
+        # the pair form of i (w + i0)
         w = rng.standard_normal(4)
-        j = complex_structure(4)
-        stacked = j @ embed(w).stack()
+        stacked = scalar_mul(1j, embed(w)).stack()
         expected = PairVector(np.zeros(4), w).stack()
         assert max_abs(stacked - expected) == 0
 
-    def test_structure_squares_to_minus_identity(self):
-        j = complex_structure(3)
-        assert np.array_equal(j @ j, -np.eye(6))
+    def test_structure_squares_to_minus_identity(self, rng):
+        p = PairVector(rng.standard_normal(3), rng.standard_normal(3))
+        assert np.array_equal(scalar_mul(1j, scalar_mul(1j, p)).stack(), -p.stack())
 
 
 class TestComplexifyMap:
@@ -123,7 +122,9 @@ class TestCoherence:
 
     def test_scalar_mul_matches_structure(self, rng):
         p = PairVector(rng.standard_normal(3), rng.standard_normal(3))
-        j = complex_structure(3)
+        # J (w1, w2) = (-w2, w1) on stacked pairs
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        j = np.block([[zero, -eye], [eye, zero]])
         assert max_abs(scalar_mul(1j, p).stack() - j @ p.stack()) == 0
 
 

@@ -14,6 +14,7 @@ from quasirep.frames import (
     born_probe,
     canonical_dual,
     channel_from_json,
+    channel_stack,
     channel_to_json,
     compose_channels,
     depolarizing_channel,
@@ -405,6 +406,33 @@ class TestChannelStack:
         bad[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf, 1j * np.nan]))
         with pytest.raises(ValueError, match="finite"):
             Channel(bad, validate=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_channel_stack_equals_channels(self, count, n, d_out, d_in, seed):
+        rng = np.random.default_rng(seed)
+        families = np.array([
+            _contraction(random_complex_matrix(rng, n * d_out, d_in).reshape(n, d_out, d_in))
+            for _ in range(count)
+        ])
+        superops, grams = channel_stack(families)
+        for family, superop, gram in zip(families, superops, grams):
+            ch = Channel(family)
+            assert np.array_equal(superop, ch.superop)  # one formula for both
+            assert np.array_equal(superop, sum(np.kron(k, k.conj()) for k in family))
+            assert max_abs(gram - ch._gram) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_one_trace_increasing_family_fails_the_stack(self, count, data, d, seed):
+        families = np.array([random_channel(d, d, seed=seed + i).kraus for i in range(count)])
+        channel_stack(families)
+        bad = data.draw(st.integers(0, count - 1))
+        families[bad] *= 1.001
+        with pytest.raises(ValueError, match="increases trace"):
+            channel_stack(families)
+        channel_stack(families, validate=False)
 
     def test_stack_is_a_private_copy(self):
         k = np.eye(2, dtype=complex)[None].copy()

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError, SpanningError
 from quasirep.frames import unitary_channel
 from quasirep.gpt import (
     GptProcess,
     channel_to_process,
+    density_stack,
+    effect_stack,
     identity_resolution,
     make_system,
+    process_matrices,
     random_channel,
+    random_density,
+    random_effect,
+    random_kraus,
     system_from_json,
     system_to_json,
     tomographic_decompose,
@@ -150,6 +158,69 @@ class TestRandomChannel:
     def test_dims_capped(self):
         with pytest.raises(DimensionError):
             random_channel(5, 2, seed=0)
+
+
+def _haar_unitary_reference(dim, rng):
+    """Full QR of two separately drawn ``dim x dim`` Gaussian blocks, phases fixed."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r))).conj()
+
+
+class TestStackedDraws:
+    """The batched builders the audit uses, against one-at-a-time references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4))
+    def test_random_kraus_equals_random_channel(self, d_in, d_out, seeds):
+        stack = random_kraus(d_in, d_out, seeds)
+        env = d_in * d_out
+        assert stack.shape == (len(seeds), env, d_out, d_in)
+        for seed, kraus in zip(seeds, stack):
+            assert np.array_equal(kraus, random_channel(d_in, d_out, seed).kraus)
+            # the definition: the first d_in columns of a Haar unitary on
+            # output (x) environment, Kraus operator e from rows e, e + env, ...
+            u = _haar_unitary_reference(d_out * env, np.random.default_rng(seed))
+            reference = u[:, :d_in].reshape(d_out, env, d_in).transpose(1, 0, 2)
+            assert np.array_equal(kraus, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**63 - 1))
+    def test_random_density_and_effect_match_their_definitions(self, d, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rho = random_density(d, rng)
+        g = ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
+        g = g @ g.conj().T
+        assert np.array_equal(rho, g / np.trace(g).real)
+        eff = random_effect(d, rng)
+        v = _haar_unitary_reference(d, ref)
+        assert np.array_equal(eff, v.conj().T @ np.diag(ref.uniform(0, 1, d)) @ v)
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**63 - 1))
+    def test_stacked_states_and_effects_equal_single_builds(self, d, count, seed):
+        rng = np.random.default_rng(seed)
+        normals = rng.standard_normal((count, 2, 2, d, d))
+        weights = rng.uniform(0, 1, (count, d))
+        rhos, effs = density_stack(normals[:, 0]), effect_stack(normals[:, 1], weights)
+        for i in range(count):
+            assert np.array_equal(rhos[i], density_stack(normals[i, 0]))
+            assert np.array_equal(effs[i], effect_stack(normals[i, 1], weights[i]))
+
+    def test_process_matrices_check_every_element(self):
+        sys2 = make_system("quantum", 2)
+        channels = [random_channel(2, 2, seed=s) for s in range(4)]
+        stack = np.array([ch.superop for ch in channels])
+        coords = process_matrices(stack, sys2, sys2)
+        for ch, m in zip(channels, coords):
+            assert np.array_equal(m, channel_to_process(ch, sys2, sys2).matrix)
+        stack[2] *= 1j  # not Hermiticity-preserving: complex real coordinates
+        with pytest.raises(ValueError, match="self-adjointness"):
+            process_matrices(stack, sys2, sys2)
+        with pytest.raises(DimensionError):
+            process_matrices(stack, sys2, make_system("quantum", 3))
 
 
 class TestClassicalProcesses:

@@ -13,51 +13,12 @@ from quasirep.linalg import (
     devectorize,
     haar_isometry,
     haar_unitary,
-    hs_inner,
     max_abs,
     rank_range,
     vectorize,
 )
 
-from conftest import SIGMA_X, SIGMA_Z, random_complex_matrix
-
-
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2 + 0j)
-
-    def test_orthogonal_paulis(self):
-        # direct trace of sigma_x sigma_z is zero
-        assert hs_inner(SIGMA_X, SIGMA_Z) == pytest.approx(0)
-
-    def test_first_slot_conjugated(self):
-        # Tr((iI)† I) = -i Tr(I) = -2i
-        assert hs_inner(1j * np.eye(2), np.eye(2)) == pytest.approx(-2j)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            hs_inner(np.eye(2), np.eye(3))
-
-    def test_sesquilinearity(self, rng):
-        a, b, c = (random_complex_matrix(rng, 3) for _ in range(3))
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        beta = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = hs_inner(alpha * a + beta * b, c)
-        rhs = np.conj(alpha) * hs_inner(a, c) + np.conj(beta) * hs_inner(b, c)
-        assert abs(lhs - rhs) <= 1e-10
-
-    def test_cauchy_schwarz(self, rng):
-        for _ in range(20):
-            a = random_complex_matrix(rng, 3)
-            b = random_complex_matrix(rng, 3)
-            lhs = abs(hs_inner(a, b)) ** 2
-            rhs = hs_inner(a, a).real * hs_inner(b, b).real
-            assert lhs <= rhs * (1 + 1e-12) + 1e-12
-
-    def test_self_inner_nonnegative(self, rng):
-        a = random_complex_matrix(rng, 4)
-        val = hs_inner(a, a)
-        assert abs(val.imag) <= 1e-12 and val.real >= 0
+from conftest import random_complex_matrix
 
 
 class TestVectorize:

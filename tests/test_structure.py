@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from quasirep.gpt import make_system, random_channel, random_density
 from quasirep.kirkwood_dirac import kd_distribution, kd_frame_pair, preset_bases, random_faithful_bases
 from quasirep.linalg import max_abs, rank_range, vectorize
 from quasirep.structure import (
+    AUDIT_BLOCK_TRIALS,
     Representation,
     SystemSlot,
     _discard_residual,
@@ -119,6 +122,32 @@ class TestMatrixSlots:
             rep.represent_effect(qubit.label, np.eye(3))
         with pytest.raises(DimensionError):
             rep.apply(qubit.label, qubit.label, random_channel(2, 3, seed=1))
+
+    def test_stacks_match_one_at_a_time(self, qubit, qutrit, rng):
+        # the audit's batched products carry the exact bits of single calls
+        rep = build_representation({
+            qubit.label: canonical_dual(random_frame(2, 6, rng)),
+            qutrit.label: kd_frame_pair(random_faithful_bases(3, seed=2)),
+        })
+        channels = [random_channel(2, 3, seed=s) for s in range(5)]
+        stack = np.array([ch.superop for ch in channels])
+        gammas = rep.apply(qubit.label, qutrit.label, stack)
+        assert gammas.shape == (5, 9, 6)
+        for ch, gamma in zip(channels, gammas):
+            assert np.array_equal(gamma, rep.apply(qubit.label, qutrit.label, ch))
+        ops = np.array([random_density(2, rng) for _ in range(4)])
+        for rows, single in ((rep.represent_state(qubit.label, ops), rep.represent_state),
+                             (rep.represent_effect(qubit.label, ops), rep.represent_effect)):
+            assert rows.shape == (4, 6)
+            for op, row in zip(ops, rows):
+                assert np.array_equal(row, single(qubit.label, op))
+        with pytest.raises(DimensionError):
+            rep.apply(qubit.label, qutrit.label, stack[:, :, :3])
+        with pytest.raises(DimensionError):
+            rep.apply(qubit.label, qutrit.label, stack[None])
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rep.apply(qubit.label, qutrit.label, stack)
 
     def test_classical_effect_side(self):
         sys3 = make_system("classical", 3)
@@ -383,6 +412,19 @@ class TestAudit:
         healthy = audit_representation(rep, [qubit], trials=2, seed=0)
         assert not report.dim_check and healthy.dim_check
         assert report.decomposition_residual == healthy.decomposition_residual <= 1e-8
+
+
+    def test_memory_does_not_grow_with_trials(self, qubit):
+        rep, _ = overcomplete_rep(qubit, np.random.default_rng(1), extra=4)
+        peaks = []
+        for trials in (AUDIT_BLOCK_TRIALS, 10 * AUDIT_BLOCK_TRIALS):
+            tracemalloc.start()
+            try:
+                audit_representation(rep, [qubit], trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestFramesFromChiPhi:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DimensionError, ReconstructionError, SingularFrameError
 from .linalg import (
     as_cmat,
+    as_cstack,
     cmat_from_json,
     cmat_to_json,
     devectorize,
@@ -71,27 +72,26 @@ RANDOM_FRAME_MAX_DRAWS = 100
 class Frame:
     """An indexed family of ``d x d`` complex matrices.
 
+    The elements are held as one read-only ``(n, d, d)`` complex array,
+    copied from the input (any sequence of equally shaped square matrices,
+    or such a stack); ``elements`` and ``vec_matrix`` are views into it.
     Non-spanning families are representable (and reported by
     :meth:`is_spanning`); operations that need a dual reject them.
     """
 
     def __init__(self, elements, labels=None):
-        elements = [as_cmat(e, square=True) for e in elements]
-        if not elements:
-            raise DimensionError("a frame needs at least one element")
-        d = elements[0].shape[0]
-        if any(e.shape != (d, d) for e in elements):
-            raise DimensionError("all frame elements must share one shape")
+        stack = as_cstack(elements, square=True)
+        n, d, _ = stack.shape
         if labels is None:
-            labels = [str(i) for i in range(len(elements))]
+            labels = [str(i) for i in range(n)]
         labels = tuple(str(x) for x in labels)
-        if len(labels) != len(elements):
+        if len(labels) != n:
             raise DimensionError("one label per frame element required")
         self.dim = d
         self.labels = labels
-        self.elements = tuple(elements)
+        self.elements = tuple(stack)
         # rows are vec(F_l); Tr(F_l† X) = vec_matrix.conj() @ vec(X)
-        self.vec_matrix = np.array([vectorize(e) for e in elements])
+        self.vec_matrix = stack.reshape(n, -1)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -163,20 +163,9 @@ class Channel:
     """
 
     def __init__(self, kraus, validate: bool = True):
-        try:
-            stack = np.array(kraus, dtype=complex)
-        except ValueError:
-            for k in kraus:  # a malformed operator reports itself; else the shapes differ
-                as_cmat(k)
-            raise DimensionError("all Kraus operators must share one shape") from None
-        if stack.shape[:1] == (0,):
-            raise DimensionError("a channel needs at least one Kraus operator")
-        if stack.ndim != 3:
-            raise DimensionError(f"expected a stack of Kraus matrices, got shape {stack.shape}")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("Kraus entries must be finite")
+        # read-only, so the derived matrices stay in step with it
+        stack = as_cstack(kraus)
         _, d_out, d_in = stack.shape
-        stack.flags.writeable = False  # the derived matrices stay in step with it
         self.d_in = d_in
         self.d_out = d_out
         self.kraus = stack
@@ -275,7 +264,7 @@ def canonical_dual(f: Frame) -> DualPair:
             f"frame spans only {rank} of {f.dim**2} dimensions; no canonical dual"
         )
     dual_vecs = np.linalg.solve(s, f.vec_matrix.T).T
-    dual = Frame([devectorize(v) for v in dual_vecs], labels=f.labels)
+    dual = Frame(dual_vecs.reshape(len(f), f.dim, f.dim), labels=f.labels)
     return DualPair(f, dual)
 
 

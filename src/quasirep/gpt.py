@@ -11,9 +11,12 @@ Two kinds of system are bundled:
   basis, indicator effects and the all-ones deterministic effect.
 
 Each system stores the coefficients ``t`` of a resolution of the identity
-``sum_ij t_ij s_i e_j = id``, solved by minimal-norm least squares, and any
-process between systems decomposes as a real combination of the same
-prepare-and-measure pairs.
+``sum_ij t_ij s_i e_j = id``, and any process between systems decomposes as
+a real combination of the same prepare-and-measure pairs.  With the states
+and effects as the rows of ``S`` and ``E`` the sum is ``S.T @ t @ E``, so
+the minimal-norm least-squares coefficients of a target ``M`` factor as
+``pinv(S.T) @ M @ pinv(E)``: two small pseudo-inverses stand in for the
+``D**2 x D**2`` design matrix of the prepare-and-measure pairs.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
     "process_from_json",
 ]
 
-MAX_QUANTUM_DIM = 4
+MAX_QUANTUM_DIM = 8
 # Entrywise ceiling on the imaginary part of real coordinates and on the
 # residual of a prepare-and-measure decomposition.
 COORDS_ATOL = 1e-10
@@ -152,7 +155,11 @@ class GptSystem:
             self.real_dim = dim**2
             self.iso = basis_isomorphism(dim)
             self.state_ops = tuple(_tomography_states(dim))
-            self.states = np.array([operator_to_coords(s, self.iso) for s in self.state_ops])
+            ops = np.array(self.state_ops)
+            coords = self.iso.conj().T @ ops.reshape(len(ops), -1).T
+            if max_abs(coords.imag) > COORDS_ATOL:
+                raise ValueError("tomography states are not self-adjoint")
+            self.states = coords.T.real.copy()
             self.effects = self.states.copy()
             self.u = operator_to_coords(np.eye(dim), self.iso)
         else:
@@ -204,17 +211,12 @@ def make_system(kind: str, dim: int, seed: int = 0, label: str | None = None) ->
     return GptSystem(kind, dim, seed=seed, label=label)
 
 
-def _prepare_measure_columns(sys_states: np.ndarray, sys_effects: np.ndarray) -> np.ndarray:
-    # column (i, j) holds vec(outer(s_i, e_j)) = kron(s_i, e_j)
-    cols = [np.kron(s, e) for s in sys_states for e in sys_effects]
-    return np.array(cols).T
-
-
 def identity_resolution(sys: GptSystem) -> np.ndarray:
     """Coefficients ``t`` with ``sum_ij t_ij s_i e_j = id`` on the system.
 
-    Minimal-norm least-squares solution (unique for spanning bases,
-    deterministic for overcomplete families).
+    The minimal-norm least-squares solution ``pinv(S.T) @ pinv(E)`` for
+    states and effects as the rows of ``S`` and ``E`` (unique for spanning
+    bases, deterministic for overcomplete families).
 
     Raises:
         SpanningError: if no solution reaches the residual tolerance.
@@ -232,14 +234,14 @@ def tomographic_decompose(proc: GptProcess) -> np.ndarray:
 
 
 def _decompose_matrix(states, effects, target) -> np.ndarray:
-    design = _prepare_measure_columns(states, effects)
-    coeff, *_ = np.linalg.lstsq(design, target.reshape(-1), rcond=None)
-    residual = max_abs(design @ coeff - target.reshape(-1))
+    # the factored minimal-norm solution; see the module docstring
+    coeff = np.linalg.pinv(states.T) @ target @ np.linalg.pinv(effects)
+    residual = max_abs(states.T @ coeff @ effects - target)
     if residual > COORDS_ATOL:
         raise SpanningError(
             f"prepare-measure pairs do not span the target: residual {residual:.3e}"
         )
-    return coeff.reshape(len(states), len(effects))
+    return coeff
 
 
 def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:

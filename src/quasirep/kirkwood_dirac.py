@@ -91,18 +91,13 @@ def kd_frame_pair(kb: KdBases) -> DualPair:
         raise NonFaithfulBasesError(
             f"bases are not faithful: smallest overlap {smallest:.3e} <= {OVERLAP_FLOOR:.0e}"
         )
-    frame_elems, dual_elems, labels = [], [], []
-    for a in range(kb.dim):
-        ket_a = kb.basis_a[:, a]
-        for b in range(kb.dim):
-            bra_b = kb.basis_b[:, b].conj()
-            ket_bra = np.outer(ket_a, bra_b)
-            overlap = kb.overlaps[a, b]
-            frame_elems.append(ket_bra * overlap)
-            dual_elems.append(ket_bra / overlap.conj())
-            labels.append(f"({kb.a_labels[a]},{kb.b_labels[b]})")
-    frame = Frame(frame_elems, labels=labels)
-    dual = Frame(dual_elems, labels=labels)
+    d = kb.dim
+    # ket_bras[a, b] = |a><b|, the outer product of column a and conjugated column b
+    ket_bras = kb.basis_a.T[:, None, :, None] * kb.basis_b.T.conj()[None, :, None, :]
+    overlaps = kb.overlaps[:, :, None, None]
+    labels = [f"({a},{b})" for a in kb.a_labels for b in kb.b_labels]
+    frame = Frame((ket_bras * overlaps).reshape(d * d, d, d), labels=labels)
+    dual = Frame((ket_bras / overlaps.conj()).reshape(d * d, d, d), labels=labels)
     return DualPair(frame, dual)
 
 

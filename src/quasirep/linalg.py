@@ -23,6 +23,7 @@ __all__ = [
     "RANK_RTOL",
     "as_cmat",
     "as_cvec",
+    "as_cstack",
     "max_abs",
     "vectorize",
     "devectorize",
@@ -61,6 +62,31 @@ def as_cvec(v) -> np.ndarray:
     if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
         raise ValueError("vector entries must be finite")
     return w
+
+
+def as_cstack(items, *, square: bool = False) -> np.ndarray:
+    """Copy equally shaped matrices into one read-only ``(n, rows, cols)``
+    complex stack, validated as :func:`as_cmat` validates one matrix.
+
+    ``items`` is a sequence of matrices or a stack.  When the matrices have
+    different shapes, the first malformed one reports itself.
+    """
+    try:
+        stack = np.array(items, dtype=complex)
+    except ValueError:
+        for item in items:
+            as_cmat(item, square=square)
+        raise DimensionError("all matrices must share one shape") from None
+    if stack.shape[:1] == (0,):
+        raise DimensionError("expected at least one matrix")
+    if stack.ndim != 3:
+        raise DimensionError(f"expected a stack of matrices, got shape {stack.shape}")
+    if square and stack.shape[1] != stack.shape[2]:
+        raise DimensionError(f"expected square matrices, got shape {stack.shape[1:]}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite")
+    stack.flags.writeable = False
+    return stack
 
 
 def max_abs(a) -> float:

@@ -510,7 +510,9 @@ def audit_representation(
 ) -> AuditReport:
     """Sample-based audit of every defining property of a representation.
 
-    Failures never raise; they surface as report fields.
+    Failures never raise; they surface as report fields.  Malformed input
+    does raise: a system listed twice (``ValueError``) or a slot whose
+    coordinate space differs from its system's (``DimensionError``).
 
     Semi-functoriality represents the composed superoperator ``S2 @ S1``
     against ``Gamma(T2) @ Gamma(T1)``, which tests reconstruction on the
@@ -536,6 +538,17 @@ def audit_representation(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    seen = set()
+    for sys in systems:
+        if sys.label in seen:
+            raise ValueError(f"system {sys.label!r} is listed more than once")
+        seen.add(sys.label)
+        coord_dim = rep.slot(sys.label).coord_dim
+        if coord_dim != sys.real_dim:
+            raise DimensionError(
+                f"slot of system {sys.label!r} acts on {coord_dim} coordinates, "
+                f"the system has {sys.real_dim}"
+            )
     quantum = [s for s in systems if s.is_quantum]
 
     semif = adequacy = linearity = 0.0

@@ -183,6 +183,15 @@ class TestAudit:
         report = json.loads(out.read_text())
         assert report["functorial"] and report["discard_preserving"]
 
+    def test_quantum_5_fourier(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "audit", "--system", "quantum:5", "--bases", "fourier", "--trials", "3",
+            "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["dim_check"] is True
+
     def test_non_faithful_bases_error(self, tmp_path):
         code = main([
             "audit", "--system", "quantum:2", "--bases", "computational",
@@ -194,9 +203,12 @@ class TestAudit:
 class TestGoldenReports:
     """Audit reports pinned byte for byte: batching must not change one digit.
 
-    The files under ``tests/golden`` were written by the unbatched audit
-    (one channel at a time), on Python 3.11 with numpy 2.4 and OpenBLAS; a
-    different BLAS or LAPACK build may round residuals differently.
+    The files under ``tests/golden`` pin the factored tomography (the
+    identity resolution and the state coordinates as products of small
+    matrices, with no Kronecker design), which sets the last digits of the
+    decomposition and discard residuals.  They were written on Python 3.11
+    with numpy 2.4 and OpenBLAS; a different BLAS or LAPACK build may round
+    residuals differently.
     """
 
     def test_qubit_frame_across_a_block_boundary(self, tmp_path):
@@ -242,29 +254,31 @@ class TestCoherence:
 
 
 @pytest.mark.parametrize(
-    "argv, content",
+    "argv, content, named",
     [
-        (["kd-table", "--bases-file"], {"basis_a": cmat_to_json(np.eye(2))}),
-        (["audit", "--bases-file"], {"basis_a": cmat_to_json(np.eye(2))}),
-        (["audit", "--config"], {"systems": ["quantum:2"]}),
-        (["audit", "--config"], [1, 2]),
-        (["kd-table", "--bases", "fourier", "--dim", "0"], None),
-        (["audit", "--tol", "nan"], None),
-        (["audit", "--tol", "-1"], None),
+        (["kd-table", "--bases-file"], {"basis_a": cmat_to_json(np.eye(2))}, ""),
+        (["audit", "--bases-file"], {"basis_a": cmat_to_json(np.eye(2))}, ""),
+        (["audit", "--config"], {"systems": ["quantum:2"]}, ""),
+        (["audit", "--config"], [1, 2], ""),
+        (["kd-table", "--bases", "fourier", "--dim", "0"], None, ""),
+        (["audit", "--tol", "nan"], None, ""),
+        (["audit", "--tol", "-1"], None, ""),
         (["audit", "--config"], {"systems": [{"system": "quantum:2", "bases": "hadamard"},
-                                             {"system": "quantum:2"}]}),
+                                             {"system": "quantum:2"}]}, "quantum-2"),
+        (["audit", "--system", "classical:2", "--frame-file", str(GOLDEN / "qubit_frame.json")],
+         None, "classical-2"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
-         "tol-nan", "tol-negative", "duplicate-system"],
+         "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical"],
 )
-def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content):
+def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
         argv = argv + [str(path)]
     assert main(argv) == EXIT_CONSTRUCTION
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 @pytest.mark.parametrize(

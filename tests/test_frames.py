@@ -64,6 +64,54 @@ def frame_operator_oracle(frame):
     return np.array(cols).T
 
 
+class TestFrameStack:
+    """A frame holds its elements as one stack; any input form gives the same one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_list_and_stack_inputs_agree(self, n, d, seed):
+        stack = random_complex_matrix(np.random.default_rng(seed), n * d, d).reshape(n, d, d)
+        from_list, from_stack = Frame(list(stack)), Frame(stack)
+        assert np.array_equal(from_list.vec_matrix, from_stack.vec_matrix)
+        assert np.array_equal(from_stack.vec_matrix, np.array([vectorize(e) for e in stack]))
+        assert all(np.array_equal(e, f) for e, f in zip(from_list.elements, stack))
+        assert from_stack.dim == d and len(from_stack) == n
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_malformed_inputs_keep_their_error_classes(self, n, d, data):
+        elements = list(np.ones((n, d, d), dtype=complex))
+        with pytest.raises(DimensionError):
+            Frame([])
+        with pytest.raises(DimensionError):
+            Frame(np.empty((0, d, d)))
+        with pytest.raises(DimensionError):  # ragged
+            Frame(elements + [np.eye(d + 1)])
+        with pytest.raises(DimensionError):  # non-square
+            Frame(np.ones((n, d, d + 1)))
+        with pytest.raises(DimensionError):  # 1-D elements
+            Frame(np.ones((n, d)))
+        with pytest.raises(DimensionError):  # a 1-D element among matrices
+            Frame(elements + [np.ones(d)])
+        bad = np.array(elements)
+        index = tuple(data.draw(st.integers(0, m - 1)) for m in bad.shape)
+        bad[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf, 1j * np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            Frame(bad)
+        with pytest.raises(ValueError, match="finite"):
+            Frame(list(bad))
+
+    def test_stack_is_a_private_read_only_copy(self):
+        stack = np.array(PAULIS)
+        frame = Frame(stack)
+        stack[0] *= 2
+        assert np.array_equal(frame.elements[0], np.eye(2))
+        with pytest.raises(ValueError):
+            frame.elements[0][0, 0] = 2
+        with pytest.raises(ValueError):
+            frame.vec_matrix[0, 0] = 2
+
+
 class TestFrameOperator:
     def test_normalized_paulis_are_parseval(self):
         s = frame_operator(pauli_frame())

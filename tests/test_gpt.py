@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,8 +66,9 @@ class TestMakeSystem:
             make_system("classical", 0)
 
     def test_quantum_dim_cap(self):
+        make_system("quantum", 8)
         with pytest.raises(DimensionError):
-            make_system("quantum", 5)
+            make_system("quantum", 9)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -138,6 +141,59 @@ class TestTomographicDecompose:
             tomographic_decompose(broken)
 
 
+def _family(rng, rows, cols, rank):
+    """``rows x cols`` matrix of the given rank, singular values in [0.5, 2]."""
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :rank]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:rank]
+    return u * rng.uniform(0.5, 2, rank) @ v
+
+
+def _crippled_classical(dim, states, effects):
+    sys_d = make_system("classical", dim)
+    sys_d.states, sys_d.effects = states, effects
+    return sys_d
+
+
+class TestFactoredTomography:
+    """The factored solve against the explicit Kronecker design it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+           st.integers(0, 2**32 - 1))
+    def test_agrees_with_lstsq_on_the_kronecker_design(self, dim, extra_s, extra_e, deficit, seed):
+        rng = np.random.default_rng(seed)
+        rank = max(1, dim - deficit)
+        states = _family(rng, dim + extra_s, dim, rank)
+        effects = _family(rng, dim + extra_e, dim, rank)
+        sys_d = _crippled_classical(dim, states, effects)
+        # column (i, j) of the design is kron(s_i, e_j) = vec(outer(s_i, e_j))
+        design = np.kron(states.T, effects.T)
+        # a target in the span of the pairs, so rank-deficient families decompose too
+        target = states.T @ rng.standard_normal((len(states), len(effects))) @ effects
+        r = tomographic_decompose(GptProcess(sys_d, sys_d, target))
+        reference = np.linalg.lstsq(design, target.reshape(-1), rcond=None)[0]
+        assert max_abs(r - reference.reshape(r.shape)) <= 1e-12
+        if rank == dim:
+            t = identity_resolution(sys_d)
+            reference = np.linalg.lstsq(design, np.eye(dim).reshape(-1), rcond=None)[0]
+            assert max_abs(t - reference.reshape(t.shape)) <= 1e-12
+        else:
+            with pytest.raises(SpanningError):
+                identity_resolution(sys_d)
+
+    def test_quantum_8_builds_without_the_design(self):
+        # the d = 8 Kronecker design alone would hold 4096**2 floats (134 MB)
+        tracemalloc.start()
+        try:
+            sys8 = make_system("quantum", 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        rebuilt = sys8.states.T @ sys8.t @ sys8.effects
+        assert max_abs(rebuilt - np.eye(64)) <= 1e-10
+
+
 class TestRandomChannel:
     def test_trivial_system(self):
         ch = random_channel(1, 1, seed=0)
@@ -157,7 +213,7 @@ class TestRandomChannel:
 
     def test_dims_capped(self):
         with pytest.raises(DimensionError):
-            random_channel(5, 2, seed=0)
+            random_channel(9, 2, seed=0)
 
 
 def _haar_unitary_reference(dim, rng):

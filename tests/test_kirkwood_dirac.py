@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError, NonFaithfulBasesError
 from quasirep.frames import identity_channel, represent_channel, represent_state, unitary_channel
@@ -82,6 +84,21 @@ class TestFramePair:
         plus = np.array([1, 1]) / np.sqrt(2)
         expected = np.outer([1, 0], plus.conj()) / np.sqrt(2)  # |0><+| / sqrt(2)
         assert max_abs(pair.frame.elements[0] - expected) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_broadcast_stacks_equal_the_elementwise_definition(self, d, seed):
+        kb = random_faithful_bases(d, seed=seed)
+        pair = kd_frame_pair(kb)
+        index = 0
+        for a in range(d):
+            for b in range(d):
+                ket_bra = np.outer(kb.basis_a[:, a], kb.basis_b[:, b].conj())
+                overlap = kb.overlaps[a, b]
+                assert np.array_equal(pair.frame.elements[index], ket_bra * overlap)
+                assert np.array_equal(pair.dual.elements[index], ket_bra / overlap.conj())
+                assert pair.labels[index] == f"({kb.a_labels[a]},{kb.b_labels[b]})"
+                index += 1
 
     def test_biorthogonality(self):
         kb = preset_bases("hadamard", 2)

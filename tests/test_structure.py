@@ -392,6 +392,22 @@ class TestAudit:
         report = audit_representation(rep, [qubit, qutrit], trials=3, seed=6)
         assert report.all_core_pass and report.functorial
 
+    def test_repeated_system_is_rejected(self, qubit):
+        rep, _ = kd_rep(qubit)
+        assert audit_representation(rep, [qubit], trials=1).dim_check
+        with pytest.raises(ValueError, match="'quantum-2' is listed more than once"):
+            audit_representation(rep, [qubit, qubit], trials=1)
+
+    def test_slot_that_does_not_fit_its_system_is_rejected(self, qubit, qutrit):
+        # a qubit pair on a 2-outcome classical system and a qutrit pair on a qubit
+        rep, _ = kd_rep(qubit)
+        bits = make_system("classical", 2, label=qubit.label)
+        with pytest.raises(DimensionError, match="'quantum-2'.* 4 coordinates.* has 2"):
+            audit_representation(rep, [bits], trials=1)
+        rep3, _ = kd_rep(qutrit)
+        with pytest.raises(DimensionError, match="'quantum-3'.* 9 coordinates.* has 4"):
+            audit_representation(rep3, [make_system("quantum", 2, label=qutrit.label)], trials=1)
+
     def test_rank_deficient_chi_fails_dim_check(self, qubit):
         # a quantum chi of rank 3 < 4 has no phi, so nothing decomposes; a
         # classical one fails the rank check while the quantum pairs decompose

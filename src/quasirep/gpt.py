@@ -21,6 +21,7 @@ the minimal-norm least-squares coefficients of a target ``M`` factor as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +42,13 @@ __all__ = [
     "tomographic_decompose",
     "random_channel",
     "random_kraus",
+    "child_generators",
     "channel_to_process",
     "process_matrices",
     "random_density",
     "random_effect",
     "density_stack",
     "effect_stack",
-    "system_to_json",
-    "system_from_json",
-    "process_to_json",
-    "process_from_json",
 ]
 
 MAX_QUANTUM_DIM = 8
@@ -259,19 +257,53 @@ def random_kraus(d_in: int, d_out: int, seeds) -> np.ndarray:
 
     Returns shape ``(len(seeds), d_in * d_out, d_out, d_in)``.  Each channel
     draws its own ``(2, dim, dim)`` normal block from ``default_rng(seed)``
-    (``dim = d_out * d_in * d_out``) and keeps its first ``d_in`` columns;
-    one batched QR turns them into the Stinespring isometries.
+    (``dim = d_out * d_in * d_out``; :func:`child_generators` builds them all
+    at once) and keeps its first ``d_in`` columns; one batched QR turns them
+    into the Stinespring isometries.
     """
     if not (1 <= d_in <= MAX_QUANTUM_DIM and 1 <= d_out <= MAX_QUANTUM_DIM):
         raise DimensionError(f"channel dimensions must lie in 1..{MAX_QUANTUM_DIM}")
     env = d_in * d_out
     dim = d_out * env
     normals = np.empty((len(seeds), 2, dim, d_in))
-    for i, seed in enumerate(seeds):
-        normals[i] = np.random.default_rng(seed).standard_normal((2, dim, dim))[..., :d_in]
+    for i, rng in enumerate(child_generators(seeds)):
+        normals[i] = rng.standard_normal((2, dim, dim))[..., :d_in]
     isometries = haar_isometries(normals)
     # Kraus operator e takes the isometry rows e, e + env, e + 2 env, ...
     return isometries.reshape(-1, d_out, env, d_in).transpose(0, 2, 1, 3)
+
+
+# SeedSequence.generate_state, word i: xor INIT_B * MULT_B**i, times INIT_B * MULT_B**(i + 1)
+_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)], np.uint32)
+
+
+@functools.cache
+def _pcg_state_type() -> type:
+    """An ``ISeedSequence`` handing ``PCG64`` a precomputed ``generate_state(4, uint64)``
+    row; built on first use, as importing numpy.random takes about 14 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PcgState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PcgState
+
+
+def child_generators(entropies) -> list[np.random.Generator]:
+    """One generator per entropy, each with exactly the state of ``default_rng(entropy)``.
+
+    ``SeedSequence`` still coerces, mixes and checks each entropy; only its
+    ``generate_state`` hash runs once for the batch, as ``uint32`` array arithmetic.
+    """
+    pools = np.array([np.random.SeedSequence(e).pool for e in entropies], dtype=np.uint32)
+    words = (np.tile(pools.reshape(-1, 4), 2) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    words ^= words >> 16
+    rows = words.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(state)) for state in map(_pcg_state_type(), rows)]
 
 
 def channel_to_process(ch: Channel, source: GptSystem, target: GptSystem) -> GptProcess:
@@ -321,38 +353,3 @@ def effect_stack(normals, weights) -> np.ndarray:
     v = haar_isometries(normals)
     diag = weights[..., :, None] * np.eye(weights.shape[-1])
     return np.swapaxes(v.conj(), -1, -2) @ diag @ v
-
-
-def system_to_json(sys: GptSystem) -> dict:
-    return {"kind": sys.kind, "dim": sys.dim, "seed": sys.seed}
-
-
-def system_from_json(data: dict) -> GptSystem:
-    try:
-        return make_system(str(data["kind"]), int(data["dim"]), seed=int(data.get("seed", 0)))
-    except KeyError as exc:
-        raise ValueError(f"malformed system record: {exc}") from exc
-
-
-def process_to_json(proc: GptProcess) -> dict:
-    from .linalg import cmat_to_json
-
-    return {
-        "source": system_to_json(proc.source),
-        "target": system_to_json(proc.target),
-        "matrix": cmat_to_json(proc.matrix),
-    }
-
-
-def process_from_json(data: dict) -> GptProcess:
-    from .linalg import cmat_from_json
-
-    try:
-        source = system_from_json(data["source"])
-        target = system_from_json(data["target"])
-        matrix = cmat_from_json(data["matrix"])
-    except KeyError as exc:
-        raise ValueError(f"malformed process record: {exc}") from exc
-    if max_abs(matrix.imag) > 0:
-        raise ValueError("process matrices are real")
-    return GptProcess(source, target, matrix.real)

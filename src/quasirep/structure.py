@@ -34,7 +34,9 @@ from .errors import (
     SplittingMismatchError,
 )
 from .frames import Channel, DualPair, Frame, channel_stack
-from .gpt import GptSystem, density_stack, effect_stack, process_matrices, random_kraus
+from .gpt import (
+    GptSystem, child_generators, density_stack, effect_stack, process_matrices, random_kraus,
+)
 from .linalg import as_cmat, devectorize, max_abs, rank_range
 
 __all__ = [
@@ -458,8 +460,7 @@ def _audit_block(
     state_normals = [np.empty((size, 2, s.dim, s.dim)) for s in quantum]
     effect_normals = [np.empty((size, 2, s.dim, s.dim)) for s in quantum]
     effect_weights = [np.empty((size, s.dim)) for s in quantum]
-    for t, trial in enumerate(block):
-        rng = np.random.default_rng((seed, trial))
+    for t, rng in enumerate(child_generators([(seed, trial) for trial in block])):
         sf_seeds[t].flat = [_child_seed(rng) for _ in range(2 * n**3)]
         for i, sys in enumerate(quantum):
             state_normals[i][t] = rng.standard_normal((2, sys.dim, sys.dim))
@@ -534,7 +535,9 @@ def audit_representation(
     its own normal block from ``default_rng(seed)`` (see
     :func:`~quasirep.gpt.random_kraus`).  The decomposition check draws, per
     pair, ``max(1, trials // 4)`` channel seeds from ``default_rng((seed,
-    trials))``.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``.
+    trials))``.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``;
+    :func:`~quasirep.gpt.child_generators` builds a block's child generators
+    at once, each with exactly the state of ``default_rng(entropy)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -577,7 +580,7 @@ def audit_representation(
     if any(s.label not in phis for s in quantum):
         decomposition = float("inf")
     else:
-        rng = np.random.default_rng((seed, trials))
+        rng = child_generators([(seed, trials)])[0]
         for sys_a, sys_b in itertools.product(quantum, repeat=2):
             seeds = [_child_seed(rng) for _ in range(max(1, trials // 4))]
             for start in range(0, len(seeds), AUDIT_BLOCK_TRIALS):

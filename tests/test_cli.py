@@ -267,9 +267,12 @@ class TestCoherence:
                                              {"system": "quantum:2"}]}, "quantum-2"),
         (["audit", "--system", "classical:2", "--frame-file", str(GOLDEN / "qubit_frame.json")],
          None, "classical-2"),
+        (["audit", "--system", "quantum:2", "--trials", "2", "--seed", "-1"], None, ""),
+        (["kd-table", "--bases", "fourier", "--dim", "2", "--seed", "-1"], None, ""),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
-         "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical"],
+         "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
+         "audit-negative-seed", "kd-negative-seed"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

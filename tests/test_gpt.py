@@ -10,6 +10,7 @@ from quasirep.frames import unitary_channel
 from quasirep.gpt import (
     GptProcess,
     channel_to_process,
+    child_generators,
     density_stack,
     effect_stack,
     identity_resolution,
@@ -19,8 +20,6 @@ from quasirep.gpt import (
     random_density,
     random_effect,
     random_kraus,
-    system_from_json,
-    system_to_json,
     tomographic_decompose,
 )
 from quasirep.linalg import max_abs
@@ -241,6 +240,31 @@ class TestStackedDraws:
             reference = u[:, :d_in].reshape(d_out, env, d_in).transpose(1, 0, 2)
             assert np.array_equal(kraus, reference)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**200 - 1),
+        st.integers(0, 2**63 - 1).map(np.int64),
+        st.tuples(st.integers(0, 2**70)),
+        st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)),
+        st.tuples(st.integers(0, 2**70), st.integers(0, 2**70), st.integers(0, 2**70)),
+    ), max_size=6))
+    def test_child_generators_equal_default_rng(self, entropies):
+        generators = child_generators(entropies)
+        assert len(generators) == len(entropies)
+        for entropy, rng in zip(entropies, generators):
+            ref = np.random.default_rng(entropy)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+            assert rng.integers(2**31) == ref.integers(2**31)
+
+    def test_child_generators_reject_what_default_rng_rejects(self):
+        assert child_generators([]) == []
+        for bad, error in ((-1, ValueError), ((3, -1), ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.default_rng(bad)
+            with pytest.raises(error):
+                child_generators([0, bad])
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**63 - 1))
     def test_random_density_and_effect_match_their_definitions(self, d, seed):
@@ -325,22 +349,3 @@ class TestChannelToProcess:
         sys2 = make_system("quantum", 2)
         with pytest.raises(DimensionError):
             channel_to_process(random_channel(3, 3, seed=0), sys2, sys2)
-
-
-def test_system_json_round_trip():
-    sys3 = make_system("quantum", 3, seed=5)
-    back = system_from_json(system_to_json(sys3))
-    assert back.kind == "quantum" and back.dim == 3 and back.seed == 5
-    assert max_abs(back.states - sys3.states) == 0
-
-
-def test_process_json_round_trip():
-    import json
-
-    from quasirep.gpt import process_from_json, process_to_json
-
-    sys2 = make_system("quantum", 2)
-    proc = channel_to_process(random_channel(2, 2, seed=3), sys2, sys2)
-    back = process_from_json(json.loads(json.dumps(process_to_json(proc))))
-    assert max_abs(back.matrix - proc.matrix) == 0
-    assert back.source.label == sys2.label

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quasirep import gpt, structure
 from quasirep.errors import (
     DimensionError,
     InjectivityError,
@@ -391,6 +392,24 @@ class TestAudit:
         })
         report = audit_representation(rep, [qubit, qutrit], trials=3, seed=6)
         assert report.all_core_pass and report.functorial
+
+    @pytest.mark.parametrize("seed", [2**32, 2**100])
+    def test_large_seeds_match_default_rng(self, qubit, qutrit, seed, monkeypatch):
+        # (seed, t) spans 3 and 5 entropy words; 5 overflows SeedSequence's 4-word pool
+        rep = build_representation({
+            qubit.label: kd_frame_pair(random_faithful_bases(2, seed=4)),
+            qutrit.label: kd_frame_pair(random_faithful_bases(3, seed=5)),
+        })
+        trials = AUDIT_BLOCK_TRIALS + 1
+        batched = audit_representation(rep, [qubit, qutrit], trials=trials, seed=seed)
+
+        def one_by_one(entropies):
+            return [np.random.default_rng(e) for e in entropies]
+
+        monkeypatch.setattr(gpt, "child_generators", one_by_one)
+        monkeypatch.setattr(structure, "child_generators", one_by_one)
+        reference = audit_representation(rep, [qubit, qutrit], trials=trials, seed=seed)
+        assert batched.to_json() == reference.to_json()
 
     def test_repeated_system_is_rejected(self, qubit):
         rep, _ = kd_rep(qubit)

@@ -20,22 +20,16 @@ from .complexify import (
     monoidal_coherence,
 )
 from .frames import (
-    BornProbe,
     Channel,
     DualPair,
     Frame,
-    born_probe,
     canonical_dual,
     compose_channels,
     depolarizing_channel,
-    frame_from_linear_map,
     frame_operator,
     identity_channel,
     random_frame,
-    reconstruct_operator,
     represent_channel,
-    represent_effect,
-    represent_state,
     unitary_channel,
 )
 from .gpt import (
@@ -51,7 +45,6 @@ from .kirkwood_dirac import (
     KdBases,
     kd_distribution,
     kd_frame_pair,
-    kd_representation,
     preset_bases,
     random_faithful_bases,
 )
@@ -61,7 +54,6 @@ from .structure import (
     Representation,
     audit_representation,
     build_representation,
-    build_classical_representation,
     extract_chi,
     extract_chi_phi,
     extract_phi,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexify import monoidal_coherence
-from .errors import QuasirepError
+from .errors import DimensionError, QuasirepError
 from .frames import DualPair, canonical_dual, frame_from_json
 from .gpt import make_system, random_density
 from .kirkwood_dirac import KdBases, kd_distribution, kd_frame_pair, preset_bases
@@ -104,11 +104,13 @@ def run_kd_table(cfg: dict) -> int:
     else:
         rng = np.random.default_rng(_coerce(int, cfg.get("seed", 0), "seed"))
         rho = random_density(dim, rng)
+    if rho.shape != (dim, dim):
+        raise DimensionError(f"state has shape {rho.shape}; the bases need ({dim}, {dim})")
 
     if cfg.get("frame"):
         # route through the frame pair: validates faithfulness
-        pair = kd_frame_pair(kb)
-        table = (pair.frame.vec_matrix.conj() @ rho.reshape(-1)).reshape(dim, dim)
+        slot = SystemSlot.from_pair(kd_frame_pair(kb))
+        table = (slot.rep @ rho.reshape(-1)).reshape(dim, dim)
     else:
         table = kd_distribution(kb, rho)
 
@@ -192,6 +194,8 @@ def run_coherence(cfg: dict) -> int:
         dims = dims.split(",")
     if not isinstance(dims, list):
         raise ValueError(f"dims must be a list or a string such as '2,3,2', got {dims!r}")
+    if len(dims) > 3:
+        raise ValueError(f"dims takes at most three entries, got {len(dims)}")
     dims = [_coerce(int, x, "dims") for x in dims]
     dims = (dims + [2, 2, 2])[:3]
     report = monoidal_coherence(

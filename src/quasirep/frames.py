@@ -2,13 +2,11 @@
 
 A frame is an indexed family ``{F_l}`` of ``d x d`` complex matrices whose
 span is the full operator space.  Together with a dual family ``{G_l}`` it
-represents
-
-* states by the coefficient vector ``mu_l = Tr(F_l† X)``,
-* effects by the covector ``xi_l = Tr(E† G_l)``,
-* channels by the matrix ``Gamma[l_out, l_in] = Tr(F_out† E(G_in))``,
-
-and reconstructs any operator as ``X = sum_l mu_l G_l``.  The canonical dual
+represents states by ``mu_l = Tr(F_l† X)``, effects by ``xi_l = Tr(E† G_l)``
+and channels by ``Gamma[l_out, l_in] = Tr(F_out† E(G_in))``, and reconstructs
+any operator as ``X = sum_l mu_l G_l``.  States and effects are represented
+through :class:`~quasirep.structure.Representation`, which holds a pair as
+two matrices (:meth:`~quasirep.structure.SystemSlot.from_pair`).  The canonical dual
 is obtained by inverting the frame operator ``S(A) = sum_l Tr(A† F_l) F_l``.
 Representations of the identity channel are idempotent matrices; they equal
 the identity exactly when frame and dual are biorthogonal.
@@ -35,15 +33,9 @@ __all__ = [
     "DualPair",
     "Channel",
     "channel_stack",
-    "BornProbe",
     "frame_operator",
     "canonical_dual",
-    "represent_state",
-    "represent_effect",
     "represent_channel",
-    "reconstruct_operator",
-    "born_probe",
-    "frame_from_linear_map",
     "random_frame",
     "identity_channel",
     "unitary_channel",
@@ -51,8 +43,6 @@ __all__ = [
     "compose_channels",
     "frame_to_json",
     "frame_from_json",
-    "channel_to_json",
-    "channel_from_json",
 ]
 
 # Dual pairs are validated against the reconstruction identity at this
@@ -268,28 +258,6 @@ def canonical_dual(f: Frame) -> DualPair:
     return DualPair(f, dual)
 
 
-def represent_state(pair: DualPair, x) -> np.ndarray:
-    """Coefficient vector ``mu_l = Tr(F_l† x)`` over the index set."""
-    x = as_cmat(x, square=True)
-    if x.shape[0] != pair.dim:
-        raise DimensionError(f"operator dim {x.shape[0]} != frame dim {pair.dim}")
-    return pair.frame.vec_matrix.conj() @ vectorize(x)
-
-
-def represent_effect(pair: DualPair, e) -> np.ndarray:
-    """Covector ``xi_l = Tr(e† G_l)``; conjugate-linear in ``e``.
-
-    Pairs with state coefficients to reproduce every probability:
-    ``sum_l xi_l mu(l|X) = Tr(e† X)`` for all ``X``.  The operator itself is
-    rebuilt through the frame with the conjugated coefficients,
-    ``e = sum_l conj(xi_l) F_l`` (the adjoint of the reconstruction identity).
-    """
-    e = as_cmat(e, square=True)
-    if e.shape[0] != pair.dim:
-        raise DimensionError(f"operator dim {e.shape[0]} != frame dim {pair.dim}")
-    return pair.dual.vec_matrix @ vectorize(e).conj()
-
-
 def represent_channel(pair_out: DualPair, pair_in: DualPair, ch: Channel) -> np.ndarray:
     """Channel matrix ``Gamma[l_out, l_in] = Tr(F_out† E(G_in))``.
 
@@ -303,55 +271,6 @@ def represent_channel(pair_out: DualPair, pair_in: DualPair, ch: Channel) -> np.
             f"{pair_in.dim}->{pair_out.dim}"
         )
     return pair_out.frame.vec_matrix.conj() @ ch.superop @ pair_in.dual.vec_matrix.T
-
-
-def reconstruct_operator(pair: DualPair, mu) -> np.ndarray:
-    """Rebuild ``sum_l mu_l G_l``; left-inverse of :func:`represent_state`."""
-    mu = np.asarray(mu, dtype=complex)
-    if mu.shape != (len(pair),):
-        raise DimensionError(f"expected {len(pair)} coefficients, got shape {mu.shape}")
-    return devectorize(pair.dual.vec_matrix.T @ mu, (pair.dim, pair.dim))
-
-
-class BornProbe:
-    """Both sides of the probability formula for one (state, effect) pair."""
-
-    __slots__ = ("lhs", "rhs", "residual")
-
-    def __init__(self, lhs: complex, rhs: complex):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.residual = abs(lhs - rhs)
-
-
-def born_probe(pair: DualPair, rho, eff) -> BornProbe:
-    """Compare ``sum_l mu(l|rho) xi(eff|l)`` against ``Tr(eff rho)``.
-
-    For a valid dual pair and self-adjoint ``eff`` the two sides agree; a
-    mismatched dual shows up as a macroscopic residual on generic inputs.
-    """
-    mu = represent_state(pair, rho)
-    xi = represent_effect(pair, eff)
-    lhs = complex(xi @ mu)
-    rhs = complex(np.trace(as_cmat(eff) @ as_cmat(rho)))
-    return BornProbe(lhs, rhs)
-
-
-def frame_from_linear_map(m, d: int) -> tuple[Frame, bool]:
-    """Extract the unique frame realizing a linear map into coefficients.
-
-    Given a matrix ``m`` whose row ``l`` implements a linear functional on
-    vectorized operators, returns the family with ``vec(F_l) = row_l†`` so
-    that ``Tr(F_l† X) = (m @ vec(X))_l`` for every ``X``, plus a faithfulness
-    flag: the map is injective (and the family spans) iff ``m`` has full
-    column rank ``d**2``.
-    """
-    m = as_cmat(m)
-    if m.shape[1] != d**2:
-        raise DimensionError(f"expected {d**2} columns for dimension {d}, got {m.shape[1]}")
-    elements = [devectorize(row.conj(), (d, d)) for row in m]
-    faithful = numerical_rank(m) == d**2
-    return Frame(elements), faithful
 
 
 def random_frame(
@@ -406,22 +325,3 @@ def frame_from_json(data: dict) -> Frame | DualPair:
         return DualPair(frame, dual, validate=False)
     return frame
 
-
-def channel_to_json(ch: Channel) -> dict:
-    return {
-        "d_in": ch.d_in,
-        "d_out": ch.d_out,
-        "kraus": [cmat_to_json(k) for k in ch.kraus],
-    }
-
-
-def channel_from_json(data: dict) -> Channel:
-    try:
-        kraus = [cmat_from_json(k) for k in data["kraus"]]
-        d_in, d_out = int(data["d_in"]), int(data["d_out"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed channel record: {exc}") from exc
-    ch = Channel(kraus)
-    if (ch.d_in, ch.d_out) != (d_in, d_out):
-        raise DimensionError("declared dimensions do not match Kraus operators")
-    return ch

@@ -36,7 +36,6 @@ __all__ = [
     "hermitian_basis",
     "basis_isomorphism",
     "operator_to_coords",
-    "coords_to_operator",
     "make_system",
     "identity_resolution",
     "tomographic_decompose",
@@ -97,12 +96,6 @@ def operator_to_coords(x, iso: np.ndarray) -> np.ndarray:
     return z.real.copy()
 
 
-def coords_to_operator(z, iso: np.ndarray) -> np.ndarray:
-    d2 = iso.shape[0]
-    d = int(round(np.sqrt(d2)))
-    return (iso @ np.asarray(z, dtype=complex)).reshape(d, d)
-
-
 def _tomography_states(d: int) -> list[np.ndarray]:
     """The fixed spanning family of d**2 pure states.
 
@@ -143,6 +136,9 @@ class GptSystem:
             raise DimensionError("system dimension must be >= 1")
         if kind == "quantum" and dim > MAX_QUANTUM_DIM:
             raise DimensionError(f"quantum systems support d <= {MAX_QUANTUM_DIM}")
+        # the real-dimension ceiling of quantum systems
+        if kind == "classical" and dim > MAX_QUANTUM_DIM**2:
+            raise DimensionError(f"classical systems support n <= {MAX_QUANTUM_DIM**2}")
         if kind not in ("quantum", "classical"):
             raise ValueError(f"unknown system kind {kind!r}")
         self.kind = kind

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionError, NonFaithfulBasesError
 from .frames import DualPair, Frame
 from .linalg import as_cmat, haar_unitary, max_abs
-from .structure import Representation, build_representation
 
 __all__ = [
     "KdBases",
@@ -26,7 +25,6 @@ __all__ = [
     "UNITARITY_ATOL",
     "kd_distribution",
     "kd_frame_pair",
-    "kd_representation",
     "preset_bases",
     "random_faithful_bases",
 ]
@@ -99,17 +97,6 @@ def kd_frame_pair(kb: KdBases) -> DualPair:
     frame = Frame((ket_bras * overlaps).reshape(d * d, d, d), labels=labels)
     dual = Frame((ket_bras / overlaps.conj()).reshape(d * d, d, d), labels=labels)
     return DualPair(frame, dual)
-
-
-def kd_representation(assignment: dict[str, KdBases]) -> Representation:
-    """Representation whose per-system pair is the Kirkwood-Dirac one.
-
-    Keys are system labels (matching :class:`~quasirep.gpt.GptSystem.label`).
-    The identity image is the exact identity matrix, so the representation is
-    functorial, and it preserves the discard since the frame elements sum to
-    the identity operator.
-    """
-    return build_representation({name: kd_frame_pair(kb) for name, kb in assignment.items()})
 
 
 def preset_bases(name: str, d: int) -> KdBases:

@@ -30,7 +30,6 @@ __all__ = [
     "rank_range",
     "numerical_rank",
     "haar_unitary",
-    "haar_isometry",
     "haar_isometries",
     "cmat_to_json",
     "cmat_from_json",
@@ -147,17 +146,7 @@ def numerical_rank(a) -> int:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix with phase fix."""
-    return haar_isometry(dim, dim, rng)
-
-
-def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """The first ``cols`` columns of :func:`haar_unitary` for the same ``rng``.
-
-    The full ``dim x dim`` Ginibre matrix is drawn, so the generator advances
-    exactly as for a unitary; only its first ``cols`` columns are formed and
-    QR-factored.
-    """
-    return haar_isometries(rng.standard_normal((2, dim, dim))[..., :cols])
+    return haar_isometries(rng.standard_normal((2, dim, dim)))
 
 
 def haar_isometries(normals) -> np.ndarray:

@@ -37,7 +37,7 @@ from .frames import Channel, DualPair, Frame, channel_stack
 from .gpt import (
     GptSystem, child_generators, density_stack, effect_stack, process_matrices, random_kraus,
 )
-from .linalg import as_cmat, devectorize, max_abs, rank_range
+from .linalg import as_cmat, max_abs, rank_range
 
 __all__ = [
     "SystemSlot",
@@ -45,7 +45,6 @@ __all__ = [
     "ChiPhi",
     "AuditReport",
     "build_representation",
-    "build_classical_representation",
     "extract_chi",
     "extract_phi",
     "effect_sum_phi",
@@ -189,11 +188,6 @@ def build_representation(assignment: dict[str, DualPair], validate: bool = True)
     )
 
 
-def build_classical_representation(sizes: dict[str, int]) -> Representation:
-    """Delta-basis representation of classical systems (identity slots)."""
-    return Representation({name: SystemSlot.classical(n) for name, n in sizes.items()})
-
-
 def _complexified_state_coords(sys: GptSystem) -> np.ndarray:
     """Columns: spanning states in complex coordinates (``iso @ real coords``)."""
     return sys.iso @ sys.states.T
@@ -333,14 +327,13 @@ def splitting_isomorphism(
     return xi
 
 
-def _complexified_process(process, sys_in: GptSystem, sys_out: GptSystem) -> np.ndarray:
+def _complexified_process(superops, sys_in: GptSystem, sys_out: GptSystem) -> np.ndarray:
     """``C(T)`` on the slots' complex coordinates, via the real route.
 
-    The channel's superoperator (or each of a stack) is first expressed as a
-    real matrix on the systems' real coordinates, then promoted entrywise and
+    Each channel superoperator of the stack is first expressed as a real
+    matrix on the systems' real coordinates, then promoted entrywise and
     conjugated back by the coordinate isomorphisms.
     """
-    superops = process.superop if isinstance(process, Channel) else process
     t_real = process_matrices(superops, sys_in, sys_out)
     return sys_out.iso @ complexify_map(t_real) @ sys_in.iso.conj().T
 
@@ -421,10 +414,8 @@ class AuditReport:
         }
 
 
-def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray | None = None) -> float:
-    """Deviation of the represented discard from the summation functional."""
-    if chi is None:
-        chi = extract_chi(rep, sys)
+def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray) -> float:
+    """Deviation of the represented discard, ``ones @ chi``, from the summation functional."""
     ones = np.ones(rep.slot(sys.label).size, dtype=complex)
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
@@ -621,6 +612,6 @@ def frames_from_chi_phi(cp: ChiPhi, validate: bool = True) -> DualPair:
     d = cp.hilbert_dim
     if cp.chi.shape[1] != d**2:
         raise DimensionError("chi does not act on a d**2-dimensional operator space")
-    frame = Frame([devectorize(row.conj(), (d, d)) for row in cp.chi], labels=cp.labels)
-    dual = Frame([devectorize(col, (d, d)) for col in cp.phi.T], labels=cp.labels)
+    frame = Frame(cp.chi.conj().reshape(-1, d, d), labels=cp.labels)
+    dual = Frame(cp.phi.T.reshape(-1, d, d), labels=cp.labels)
     return DualPair(frame, dual, validate=validate)

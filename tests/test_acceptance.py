@@ -15,9 +15,7 @@ from quasirep.cli import EXIT_OK, main
 from quasirep.complexify import complexify_map, embed, monoidal_coherence, pair_to_coord
 from quasirep.frames import (
     Frame,
-    born_probe,
     canonical_dual,
-    frame_from_linear_map,
     identity_channel,
     random_frame,
     represent_channel,
@@ -34,9 +32,11 @@ from quasirep.gpt import (
 from quasirep.kirkwood_dirac import kd_distribution, kd_frame_pair, preset_bases, random_faithful_bases
 from quasirep.linalg import cmat_to_json, max_abs, numerical_rank, rank_range, vectorize
 from quasirep.structure import (
+    ChiPhi,
     build_representation,
     extract_chi,
     extract_phi,
+    frames_from_chi_phi,
     split_idempotent,
     splitting_isomorphism,
     verify_decomposition,
@@ -58,7 +58,9 @@ def test_criterion_01_born_rule_adequacy():
         pair = canonical_dual(random_frame(d, d * d + trial % 3, rng))
         rho = random_density(d, rng)
         eff = random_effect(d, rng)
-        worst = max(worst, born_probe(pair, rho, eff).residual)
+        rep = build_representation({"s": pair})
+        lhs = rep.represent_effect("s", eff) @ rep.represent_state("s", rho)
+        worst = max(worst, abs(lhs - np.trace(eff @ rho)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10, f"born residual {worst:.3e}"
     assert elapsed <= 5.0, f"took {elapsed:.2f}s"
@@ -200,12 +202,12 @@ def test_criterion_08_frame_extraction_round_trip():
     worst = 0.0
     for trial in range(20):
         d = (2, 3)[trial % 2]
-        frame = random_frame(d, d * d + trial % 3, rng)
-        rep_matrix = frame.vec_matrix.conj()
-        back, faithful = frame_from_linear_map(rep_matrix, d)
-        assert faithful
-        for got, want in zip(back.elements, frame.elements):
-            worst = max(worst, max_abs(got - want))
+        pair = canonical_dual(random_frame(d, d * d + trial % 3, rng))
+        chi, phi = pair.frame.vec_matrix.conj(), pair.dual.vec_matrix.T
+        back = frames_from_chi_phi(ChiPhi(chi, phi, d, pair.labels))
+        assert back.frame.is_spanning()
+        for got, want in ((back.frame, pair.frame), (back.dual, pair.dual)):
+            worst = max(worst, max_abs(np.array(got.elements) - np.array(want.elements)))
     assert worst <= 1e-12, f"round-trip residual {worst:.3e}"
 
     false_positives = 0
@@ -214,8 +216,10 @@ def test_criterion_08_frame_extraction_round_trip():
         k = d * d - 1 - trial % 2  # deliberately deficient rank
         left = random_complex_matrix(rng, d * d + 1, k)
         right = random_complex_matrix(rng, k, d * d)
-        _, faithful = frame_from_linear_map(left @ right, d)
-        false_positives += int(faithful)
+        deficient = left @ right
+        labels = tuple(str(i) for i in range(d * d + 1))
+        cp = ChiPhi(deficient, np.linalg.pinv(deficient), d, labels)
+        false_positives += int(frames_from_chi_phi(cp, validate=False).frame.is_spanning())
     assert false_positives == 0
     report(8, f"20 extractions exact ({worst:.2e}); 20 deficient maps all flagged")
 

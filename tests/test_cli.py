@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -269,10 +272,18 @@ class TestCoherence:
          None, "classical-2"),
         (["audit", "--system", "quantum:2", "--trials", "2", "--seed", "-1"], None, ""),
         (["kd-table", "--bases", "fourier", "--dim", "2", "--seed", "-1"], None, ""),
+        (["kd-table", "--bases", "hadamard", "--state"], cmat_to_json(np.ones((1, 4))), "(1, 4)"),
+        (["kd-table", "--bases", "hadamard", "--frame", "--state"], cmat_to_json(np.ones((1, 4))),
+         "(1, 4)"),
+        (["kd-table", "--bases", "hadamard", "--state"], cmat_to_json(np.eye(3) / 3), "(3, 3)"),
+        (["kd-table", "--bases", "hadamard", "--frame", "--state"], cmat_to_json(np.eye(3) / 3),
+         "(3, 3)"),
+        (["audit", "--system", "classical:65", "--trials", "1"], None, "64"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
-         "audit-negative-seed", "kd-negative-seed"],
+         "audit-negative-seed", "kd-negative-seed", "kd-row-state", "kd-frame-row-state",
+         "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit", "classical-65"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:
@@ -297,10 +308,11 @@ def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, 
         ("audit", {"trials": 2.7, "seed": 1.9}),
         ("audit", {"trials": True}),
         ("coherence", {"dims": [2.5, 3]}),
+        ("coherence", {"dims": "2,3,2,9"}),
     ],
     ids=["trials-null", "seed-list", "tol-object", "dims-number", "system-number",
          "frame-file-number", "out-list", "fractional-trials-seed", "trials-bool",
-         "fractional-dims"],
+         "fractional-dims", "dims-four-entries"],
 )
 def test_wrong_typed_config_value_is_construction_error(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
@@ -308,6 +320,15 @@ def test_wrong_typed_config_value_is_construction_error(tmp_path, capsys, comman
     assert main([command, "--config", str(path)]) == EXIT_CONSTRUCTION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first generator the CLI builds, not at import
+    code = "import sys, numpy, quasirep.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def test_integral_config_values_are_accepted(tmp_path):

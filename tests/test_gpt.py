@@ -69,6 +69,12 @@ class TestMakeSystem:
         with pytest.raises(DimensionError):
             make_system("quantum", 9)
 
+    def test_classical_size_cap(self):
+        # the real-dimension ceiling of quantum systems, MAX_QUANTUM_DIM**2
+        make_system("classical", 64)
+        with pytest.raises(DimensionError):
+            make_system("classical", 65)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_system("boxworld", 2)
@@ -335,7 +341,7 @@ class TestChannelToProcess:
         assert proc.matrix.dtype == float
 
     def test_action_agrees_with_channel(self, rng):
-        from quasirep.gpt import coords_to_operator, operator_to_coords, random_density
+        from quasirep.gpt import operator_to_coords, random_density
 
         sys2 = make_system("quantum", 2)
         sys3 = make_system("quantum", 3)
@@ -343,7 +349,7 @@ class TestChannelToProcess:
         proc = channel_to_process(ch, sys2, sys3)
         rho = random_density(2, rng)
         out_coords = proc.matrix @ operator_to_coords(rho, sys2.iso)
-        assert max_abs(coords_to_operator(out_coords, sys3.iso) - ch.apply(rho)) <= 1e-10
+        assert max_abs((sys3.iso @ out_coords).reshape(3, 3) - ch.apply(rho)) <= 1e-10
 
     def test_wrong_dims(self):
         sys2 = make_system("quantum", 2)

@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError, NonFaithfulBasesError
-from quasirep.frames import identity_channel, represent_channel, represent_state, unitary_channel
+from quasirep.frames import identity_channel, represent_channel, unitary_channel
 from quasirep.gpt import make_system, random_density
 from quasirep.kirkwood_dirac import (
     KdBases,
     kd_distribution,
     kd_frame_pair,
-    kd_representation,
     preset_bases,
     random_faithful_bases,
 )
 from quasirep.linalg import max_abs
-from quasirep.structure import audit_representation
+from quasirep.structure import audit_representation, build_representation
 
 from conftest import SIGMA_Y
 
@@ -118,17 +117,17 @@ class TestFramePair:
     def test_distribution_agrees_with_frame_representation(self, rng):
         for d in (2, 3):
             kb = random_faithful_bases(d, seed=10 + d)
-            pair = kd_frame_pair(kb)
+            rep = build_representation({"s": kd_frame_pair(kb)})
             for _ in range(20):
                 rho = random_density(d, rng)
-                mu = represent_state(pair, rho).reshape(d, d)
+                mu = rep.represent_state("s", rho).reshape(d, d)
                 assert max_abs(mu - kd_distribution(kb, rho)) <= 1e-12
 
 
 class TestRepresentation:
     def test_audit_passes(self):
         sys2 = make_system("quantum", 2)
-        rep = kd_representation({sys2.label: preset_bases("hadamard", 2)})
+        rep = build_representation({sys2.label: kd_frame_pair(preset_bases("hadamard", 2))})
         report = audit_representation(rep, [sys2], trials=10, seed=4)
         assert report.semifunctorial and report.empirically_adequate
         assert report.linear and report.discard_preserving
@@ -155,7 +154,7 @@ class TestRepresentation:
     def test_propagates_non_faithful_error(self):
         sys2 = make_system("quantum", 2)
         with pytest.raises(NonFaithfulBasesError):
-            kd_representation({sys2.label: preset_bases("computational", 2)})
+            build_representation({sys2.label: kd_frame_pair(preset_bases("computational", 2))})
 
 
 class TestBases:

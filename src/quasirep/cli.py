@@ -18,7 +18,7 @@ import numpy as np
 from .complexify import monoidal_coherence
 from .errors import DimensionError, QuasirepError
 from .frames import DualPair, canonical_dual, frame_from_json
-from .gpt import make_system, random_density
+from .gpt import MAX_QUANTUM_DIM, make_system, random_density
 from .kirkwood_dirac import KdBases, kd_distribution, kd_frame_pair, preset_bases
 from .linalg import cmat_from_json
 from .structure import (
@@ -96,6 +96,8 @@ def _build_bases(cfg: dict, dim: int) -> KdBases:
 
 def run_kd_table(cfg: dict) -> int:
     dim = _coerce(int, cfg.get("dim", 2), "dim")
+    if dim > MAX_QUANTUM_DIM:
+        raise DimensionError(f"dim must be <= {MAX_QUANTUM_DIM}, got {dim}")
     kb = _build_bases(cfg, dim)
     dim = kb.dim
 
@@ -197,6 +199,8 @@ def run_coherence(cfg: dict) -> int:
     if len(dims) > 3:
         raise ValueError(f"dims takes at most three entries, got {len(dims)}")
     dims = [_coerce(int, x, "dims") for x in dims]
+    if max(dims, default=0) > MAX_QUANTUM_DIM**2:
+        raise DimensionError(f"dims entries must be <= {MAX_QUANTUM_DIM**2}, got {dims}")
     dims = (dims + [2, 2, 2])[:3]
     report = monoidal_coherence(
         dims[0], dims[1], trials=_coerce(int, cfg.get("trials", 50), "trials"),

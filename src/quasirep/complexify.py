@@ -9,14 +9,15 @@ A complexified vector lives in two encodings:
 * the **coordinate encoding** ``w1 + i w2`` in ``C^n`` used everywhere
   downstream.
 
-``pair_to_coord`` fixes the isomorphism between the two.
+``pair_to_coord`` fixes the isomorphism between the two.  Pair encodings
+may be stacks: ``(..., n)`` components, one vector per leading index.
 Real-linear maps complexify entrywise: ``complexify_map`` returns the same
 matrix with entries promoted to complex, which acts on pairs componentwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,11 +38,14 @@ __all__ = [
 
 # Entrywise ceiling of the unit and multiplication isomorphism checks.
 COHERENCE_ATOL = 1e-10
+# Entries of the triple tensors a (x) b (x) c that one block of trials stacks
+# (64 trials at dims 4, 4, 4, at least one): it bounds the memory of a run.
+COHERENCE_BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class PairVector:
-    """Element of a complexified space in the two-copy (pair) encoding."""
+    """Element of a complexified space in the pair encoding; ``(..., n)`` stacks allowed."""
 
     real: np.ndarray
     imag: np.ndarray
@@ -49,40 +53,39 @@ class PairVector:
     def __post_init__(self) -> None:
         re = np.asarray(self.real, dtype=float)
         im = np.asarray(self.imag, dtype=float)
-        if re.shape != im.shape or re.ndim != 1:
-            raise DimensionError("pair components must be real vectors of equal length")
+        if re.shape != im.shape or re.ndim < 1:
+            raise DimensionError("pair components must be real vectors (or stacks) of equal shape")
         object.__setattr__(self, "real", re)
         object.__setattr__(self, "imag", im)
 
     @property
     def dim(self) -> int:
-        return self.real.size
+        return self.real.shape[-1]
 
     def stack(self) -> np.ndarray:
-        """Both components as one real vector of length ``2 * dim``."""
-        return np.concatenate([self.real, self.imag])
+        """Both components as one real vector (per row of a stack) of length ``2 * dim``."""
+        return np.concatenate([self.real, self.imag], axis=-1)
 
 
 def embed(w) -> PairVector:
-    """Standard embedding ``w -> (w, 0)`` of a real vector."""
+    """Standard embedding ``w -> (w, 0)`` of a real vector (or a stack of them)."""
     v = np.asarray(w, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError("embed expects a real vector")
     return PairVector(v, np.zeros_like(v))
 
 
-def scalar_mul(alpha: complex, p: PairVector) -> PairVector:
-    """Complex scalar multiplication ``(a+bi)(w1,w2) = (a w1 - b w2, b w1 + a w2)``."""
+def scalar_mul(alpha, p: PairVector) -> PairVector:
+    """Complex scalar multiplication ``(a+bi)(w1,w2) = (a w1 - b w2, b w1 + a w2)``;
+    ``alpha`` may be a complex array that broadcasts against the components."""
     a, b = alpha.real, alpha.imag
     return PairVector(a * p.real - b * p.imag, b * p.real + a * p.imag)
 
 
 def apply_complexified(f, p: PairVector) -> PairVector:
-    """Act with the complexification of a real map: ``(w1, w2) -> (f w1, f w2)``."""
+    """Act with the complexification of a real map (or a stack): ``(w1, w2) -> (f w1, f w2)``."""
     fm = np.asarray(f, dtype=float)
-    if fm.ndim != 2 or fm.shape[1] != p.dim:
+    if fm.ndim < 2 or fm.shape[-1] != p.dim:
         raise DimensionError(f"map of shape {fm.shape} cannot act on pairs of dim {p.dim}")
-    return PairVector(fm @ p.real, fm @ p.imag)
+    return PairVector((fm @ p.real[..., None])[..., 0], (fm @ p.imag[..., None])[..., 0])
 
 
 def pair_to_coord(p: PairVector) -> np.ndarray:
@@ -97,11 +100,18 @@ def pair_kron(p: PairVector, q: PairVector) -> PairVector:
 
         (w1, w2) (x) (v1, v2)  ->  (w1(x)v1 - w2(x)v2,  w1(x)v2 + w2(x)v1)
 
-    using the row-major real Kronecker product for ``(x)``.
+    using the row-major real Kronecker product for ``(x)``, row by row on stacks.
     """
-    re = np.kron(p.real, q.real) - np.kron(p.imag, q.imag)
-    im = np.kron(p.real, q.imag) + np.kron(p.imag, q.real)
+    re = _kron(p.real, q.real) - _kron(p.imag, q.imag)
+    im = _kron(p.real, q.imag) + _kron(p.imag, q.real)
     return PairVector(re, im)
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-major Kronecker product on the last axis, broadcast over the others: each
+    entry is the one product ``x[..., i] * y[..., j]``, bit for bit numpy's ``kron``."""
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(*outer.shape[:-2], -1)
 
 
 def complexify_map(f) -> np.ndarray:
@@ -133,45 +143,26 @@ class CoherenceReport:
 
     @property
     def all_pass(self) -> bool:
-        return self.epsilon_iso and self.mu_iso and max(
-            self.naturality_max_residual,
-            self.associativity_max_residual,
-            self.unitality_max_residual,
-        ) <= 1e-12
+        worst = max(self.naturality_max_residual, self.associativity_max_residual,
+                    self.unitality_max_residual)
+        return self.epsilon_iso and self.mu_iso and worst <= 1e-12
 
     def to_json(self) -> dict:
-        return {
-            "epsilon_iso": self.epsilon_iso,
-            "mu_iso": self.mu_iso,
-            "naturality_max_residual": self.naturality_max_residual,
-            "associativity_max_residual": self.associativity_max_residual,
-            "unitality_max_residual": self.unitality_max_residual,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _pair_residual(p: PairVector, q: PairVector) -> float:
     return max(max_abs(p.real - q.real), max_abs(p.imag - q.imag))
 
 
-def _random_pair(rng: np.random.Generator, dim: int) -> PairVector:
-    return PairVector(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim))
-
-
-def _unit(z: complex) -> PairVector:
-    """The unit map epsilon: a complex scalar as the one-entry pair ``(Re z, Im z)``."""
-    return PairVector(np.array([z.real]), np.array([z.imag]))
-
-
 def _check_epsilon(rng: np.random.Generator) -> bool:
-    """epsilon is complex-linear, ``i eps(z) == eps(i z)`` under :func:`scalar_mul`,
-    and :func:`pair_to_coord` inverts it exactly."""
-    ok = True
-    for _ in range(10):
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        ok &= _pair_residual(scalar_mul(1j, _unit(z)), _unit(1j * z)) <= COHERENCE_ATOL
-        ok &= complex(pair_to_coord(_unit(z))[0]) == z
-    return ok
+    """The unit map epsilon, ``z -> (Re z, Im z)``, is complex-linear under :func:`scalar_mul`
+    and :func:`pair_to_coord` inverts it exactly; ten scalars, real then imaginary part."""
+    draws = rng.uniform(-1, 1, (10, 2))
+    z, iz = draws.view(complex), 1j * draws.view(complex)
+    eps = PairVector(draws[:, :1], draws[:, 1:])
+    return (_pair_residual(scalar_mul(1j, eps), PairVector(iz.real, iz.imag)) <= COHERENCE_ATOL
+            and np.array_equal(pair_to_coord(eps), z))
 
 
 def _check_mu_iso(dim_w: int, dim_v: int) -> bool:
@@ -180,35 +171,68 @@ def _check_mu_iso(dim_w: int, dim_v: int) -> bool:
     The inverse is defined on the product basis: the pair ``(e_i (x) e_j, 0)``
     pulls back to ``embed(e_i) (x) embed(e_j)`` and ``(0, e_i (x) e_j)`` to
     ``embed(e_i) (x) (0, e_j)``, then extends complex-linearly.  On simple
-    tensors both composites are computed explicitly.
+    tensors both composites are computed explicitly, all ``j`` as one stack per ``i``.
     """
-    ok = True
-    eye_w = np.eye(dim_w)
-    eye_v = np.eye(dim_v)
-    for i in range(dim_w):
-        for j in range(dim_v):
-            ei, ej = eye_w[i], eye_v[j]
-            target = np.kron(ei, ej)
-            zero = np.zeros_like(target)
-            # forward on the pulled-back simple tensors
-            fwd_re = pair_kron(embed(ei), embed(ej))
-            ok &= _pair_residual(fwd_re, PairVector(target, zero)) <= COHERENCE_ATOL
-            fwd_im = pair_kron(embed(ei), PairVector(np.zeros_like(ej), ej))
-            ok &= _pair_residual(fwd_im, PairVector(zero, target)) <= COHERENCE_ATOL
-            # inverse after forward, in coordinates: both basis tensors return
-            coord = np.kron(ei.astype(complex), ej.astype(complex))
-            ok &= max_abs(pair_to_coord(fwd_re) - coord) <= COHERENCE_ATOL
-            ok &= max_abs(pair_to_coord(fwd_im) - 1j * coord) <= COHERENCE_ATOL
-    return ok
+    ej = np.eye(dim_v)
+    residual = 0.0
+    for ei in np.eye(dim_w):  # row j of each stack holds the simple tensor e_i (x) e_j
+        target = _kron(ei, ej)
+        # forward on the pulled-back tensors (e_i, 0) (x) (e_j, 0) and (e_i, 0) (x) (0, e_j),
+        # then the inverse in coordinates: both basis tensors return
+        for pulled_back, image in ((embed(ej), target), (PairVector(0 * ej, ej), 1j * target)):
+            fwd = pair_kron(embed(ei), pulled_back)
+            residual = max(residual, _pair_residual(fwd, PairVector(image.real, image.imag)),
+                           max_abs(pair_to_coord(fwd) - image))
+    return residual <= COHERENCE_ATOL
 
 
-def monoidal_coherence(
-    dim_w: int,
-    dim_v: int,
-    trials: int = 50,
-    seed: int = 0,
-    dim_z: int = 2,
-) -> CoherenceReport:
+def _naturality(fs: list, gs: list, p: PairVector, q: PairVector) -> float:
+    """Largest residual of ``C(f (x) g) mu(p, q) == mu(C(f) p, C(g) q)``; trials
+    with the same codomain sizes ``(m, n)`` run as one stack."""
+    shapes = [(len(f), len(g)) for f, g in zip(fs, gs)]
+    worst = 0.0
+    for m, n in set(shapes):
+        rows = [t for t, s in enumerate(shapes) if s == (m, n)]
+        f, g = np.stack([fs[t] for t in rows]), np.stack([gs[t] for t in rows])
+        pt, qt = PairVector(p.real[rows], p.imag[rows]), PairVector(q.real[rows], q.imag[rows])
+        f_kron_g = _kron(f[:, :, None, :], g[:, None, :, :]).reshape(len(rows), m * n, -1)
+        via_product = apply_complexified(f_kron_g, pair_kron(pt, qt))
+        via_factors = pair_kron(apply_complexified(f, pt), apply_complexified(g, qt))
+        worst = max(worst, _pair_residual(via_product, via_factors))
+    return worst
+
+
+def _coherence_block(rng, trials: int, dim_w: int, dim_v: int, dim_z: int) -> list:
+    """Naturality, associativity and unitality residuals of ``trials`` trials.
+
+    Each trial draws ``m = integers(1, 4)``, the ``(m, dim_w)`` map ``f``,
+    ``n = integers(1, 4)``, the ``(n, dim_v)`` map ``g``, the pairs ``p, q, a,
+    b, c`` (each real then imaginary part) and the scalar ``alpha`` (likewise),
+    in that order; every entry is ``uniform(-1, 1)``.
+    """
+    parts = [dim_w, dim_w, dim_v, dim_v, dim_w, dim_w, dim_v, dim_v, dim_z, dim_z, 1, 1]
+    width = sum(parts)
+    fs, gs, rest = [], [], np.empty((trials, width))
+    for t in range(trials):
+        fs.append(rng.uniform(-1, 1, (rng.integers(1, 4), dim_w)))
+        n = rng.integers(1, 4)
+        draws = rng.uniform(-1, 1, n * dim_v + width)  # g, then the rest: one stream
+        gs.append(draws[:-width].reshape(n, dim_v))
+        rest[t] = draws[-width:]
+    cols = np.split(rest, np.cumsum(parts)[:-1], axis=1)
+    p, q, a, b, c, alpha = (PairVector(*cols[k:k + 2]) for k in range(0, 12, 2))
+
+    # associativity: both bracketings of a triple tensor
+    associativity = _pair_residual(pair_kron(a, pair_kron(b, c)), pair_kron(pair_kron(a, b), c))
+    # unitality: multiplying with an embedded scalar equals scalar action
+    scaled = scalar_mul(pair_to_coord(alpha), a)
+    unitality = max(_pair_residual(pair_kron(alpha, a), scaled),
+                    _pair_residual(pair_kron(a, alpha), scaled))
+    return [_naturality(fs, gs, p, q), associativity, unitality]
+
+
+def monoidal_coherence(dim_w: int, dim_v: int, trials: int = 50, seed: int = 0,
+                       dim_z: int = 2) -> CoherenceReport:
     """Numerically verify the monoidal coherence of the complexification.
 
     Checks, on ``trials`` random real maps and random simple tensors:
@@ -219,45 +243,20 @@ def monoidal_coherence(
       multiplying after ``C(f) (x) C(g)``,
     * the associativity square and both unitality triangles.
 
-    All residuals are entrywise max-norm on pair encodings.
+    All residuals are entrywise max-norm on pair encodings.  Trials run in
+    blocks sized by ``COHERENCE_BLOCK_ENTRIES``, so memory does not grow with ``trials``.
     """
     if dim_w < 1 or dim_v < 1 or dim_z < 1:
         raise DimensionError("dimensions must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
 
-    epsilon_iso = _check_epsilon(rng)
-    mu_iso = _check_mu_iso(dim_w, dim_v)
-
-    naturality = 0.0
-    associativity = 0.0
-    unitality = 0.0
-    for _ in range(trials):
-        # naturality: random codomain dims keep the check honest
-        f = rng.uniform(-1, 1, (rng.integers(1, 4), dim_w))
-        g = rng.uniform(-1, 1, (rng.integers(1, 4), dim_v))
-        p, q = _random_pair(rng, dim_w), _random_pair(rng, dim_v)
-        via_product = apply_complexified(np.kron(f, g), pair_kron(p, q))
-        via_factors = pair_kron(apply_complexified(f, p), apply_complexified(g, q))
-        naturality = max(naturality, _pair_residual(via_product, via_factors))
-
-        # associativity: both bracketings of a triple tensor
-        a, b, c = _random_pair(rng, dim_w), _random_pair(rng, dim_v), _random_pair(rng, dim_z)
-        left = pair_kron(a, pair_kron(b, c))
-        right = pair_kron(pair_kron(a, b), c)
-        associativity = max(associativity, _pair_residual(left, right))
-
-        # unitality: multiplying with an embedded scalar equals scalar action
-        alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        alpha_pair = _unit(alpha)
-        scaled = scalar_mul(alpha, a)
-        unitality = max(unitality, _pair_residual(pair_kron(alpha_pair, a), scaled))
-        unitality = max(unitality, _pair_residual(pair_kron(a, alpha_pair), scaled))
-
-    return CoherenceReport(
-        epsilon_iso=bool(epsilon_iso),
-        mu_iso=bool(mu_iso),
-        naturality_max_residual=naturality,
-        associativity_max_residual=associativity,
-        unitality_max_residual=unitality,
-        seed=seed,
-    )
+    epsilon_iso, mu_iso = _check_epsilon(rng), _check_mu_iso(dim_w, dim_v)
+    size = max(1, COHERENCE_BLOCK_ENTRIES // (dim_w * dim_v * dim_z))  # trials per block
+    worst = [0.0, 0.0, 0.0]
+    for start in range(0, trials, size):
+        block = _coherence_block(rng, min(size, trials - start), dim_w, dim_v, dim_z)
+        worst = [max(w, r) for w, r in zip(worst, block)]
+    # naturality, associativity and unitality, in the report's field order
+    return CoherenceReport(bool(epsilon_iso), bool(mu_iso), *worst, seed=seed)

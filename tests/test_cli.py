@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep.cli import EXIT_CHECK_FAILED, EXIT_CONSTRUCTION, EXIT_OK, main
+from quasirep.complexify import COHERENCE_BLOCK_ENTRIES
 from quasirep.frames import canonical_dual, frame_to_json, random_frame
 from quasirep.linalg import cmat_to_json
 from quasirep.structure import AUDIT_BLOCK_TRIALS
@@ -204,7 +205,7 @@ class TestAudit:
 
 
 class TestGoldenReports:
-    """Audit reports pinned byte for byte: batching must not change one digit.
+    """Audit and coherence reports pinned byte for byte: batching must not change one digit.
 
     The files under ``tests/golden`` pin the factored tomography (the
     identity resolution and the state coordinates as products of small
@@ -233,6 +234,23 @@ class TestGoldenReports:
         }))
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / "mixed_5.report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "dims, trials, seed, golden",
+        [
+            # two full blocks of 64 trials and a partial one: pins the per-trial draw order
+            ("4,4,4", 2 * (COHERENCE_BLOCK_ENTRIES // 64) + 5, "7",
+             "coherence_444_133.report.json"),
+            ("1,1,1", 5, "3", "coherence_111_5.report.json"),
+        ],
+        ids=["444-three-blocks", "111-one-partial-block"],
+    )
+    def test_coherence(self, tmp_path, dims, trials, seed, golden):
+        out = tmp_path / "report.json"
+        code = main(["coherence", "--dims", dims, "--trials", str(trials), "--seed", seed,
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 class TestCoherence:
@@ -279,11 +297,16 @@ class TestCoherence:
         (["kd-table", "--bases", "hadamard", "--frame", "--state"], cmat_to_json(np.eye(3) / 3),
          "(3, 3)"),
         (["audit", "--system", "classical:65", "--trials", "1"], None, "64"),
+        (["coherence", "--trials", "0"], None, ">= 1"),
+        (["coherence", "--trials", "-5"], None, ">= 1"),
+        (["coherence", "--dims", "2,65,2", "--trials", "1"], None, "64"),
+        (["kd-table", "--bases", "fourier", "--dim", "9"], None, "8"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
          "audit-negative-seed", "kd-negative-seed", "kd-row-state", "kd-frame-row-state",
-         "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit", "classical-65"],
+         "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit", "classical-65",
+         "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65", "kd-dim-9"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

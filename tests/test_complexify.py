@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasirep import complexify
+from quasirep.cli import EXIT_CHECK_FAILED, main
 from quasirep.complexify import (
+    COHERENCE_BLOCK_ENTRIES,
     PairVector,
     complexify_map,
     embed,
@@ -76,6 +83,41 @@ class TestComplexifyMap:
         assert max_abs(out.imag - f @ p.imag) == 0
 
 
+def _kron(x, y):
+    """Row by row Kronecker product of two stacks, each row through ``np.kron``."""
+    return np.array([np.kron(a, b) for a, b in zip(x, y)])
+
+
+def _outer(x, y):
+    """Kronecker product on the last axis of two broadcasting stacks."""
+    out = np.einsum("...i,...j->...ij", x, y)
+    return out.reshape(*out.shape[:-2], -1)
+
+
+# Wrong monoidal products on stacks, (p.real, p.imag, q.real, q.imag) -> (re, im).
+def _split_complex(pr, pi, qr, qi):
+    # the imag (x) imag term with its sign flipped: (w1 + j w2)(v1 + j v2) with
+    # j*j = +1 is bilinear and associative, so only unitality can tell it from mu
+    return _outer(pr, qr) + _outer(pi, qi), _outer(pr, qi) + _outer(pi, qr)
+
+
+def _swapped(pr, pi, qr, qi):
+    # q (x) p: associative and unital, but it maps the basis tensor e_i (x) e_j to
+    # e_j (x) e_i, and f (x) g then acts on the wrong factors
+    return _outer(qr, pr) - _outer(qi, pi), _outer(qi, pr) + _outer(qr, pi)
+
+
+def _conjugated_left(pr, pi, qr, qi):
+    # conj(p) q: natural, since conjugation commutes with real maps, but
+    # neither associative nor unital
+    return _outer(pr, qr) + _outer(pi, qi), _outer(pr, qi) - _outer(pi, qr)
+
+
+def _swapped_conjugated(pr, pi, qr, qi):
+    # q (x) conj(p), both defects above at once: fails every check but epsilon
+    return _outer(qr, pr) + _outer(qi, pi), _outer(qi, pr) - _outer(qr, pi)
+
+
 class TestCoherence:
     def test_dims_one_is_complex_multiplication(self, rng):
         for _ in range(10):
@@ -119,6 +161,55 @@ class TestCoherence:
         assert monoidal_coherence(2, 2, trials=1, seed=5).epsilon_iso
         monkeypatch.setattr(complexify, "scalar_mul", wrong_sign)
         assert not monoidal_coherence(2, 2, trials=1, seed=5).epsilon_iso
+        # the same defect reaches the batched unitality check
+        assert monoidal_coherence(2, 3, trials=5, seed=5).unitality_max_residual > 1e-12
+
+    @pytest.mark.parametrize(
+        "mutant, failing",
+        [
+            (_split_complex, {"unitality"}),
+            (_swapped, {"mu", "naturality"}),
+            (_conjugated_left, {"associativity", "unitality"}),
+            (_swapped_conjugated, {"mu", "naturality", "associativity", "unitality"}),
+        ],
+        ids=["imag-imag-sign", "swapped-factors", "conjugated-left", "swapped-conjugated"],
+    )
+    def test_batched_checks_catch_a_wrong_product(self, monkeypatch, tmp_path, mutant, failing):
+        monkeypatch.setattr(complexify, "pair_kron",
+                            lambda p, q: PairVector(*mutant(p.real, p.imag, q.real, q.imag)))
+        # one full block of trials and a partial one
+        trials = COHERENCE_BLOCK_ENTRIES // 12 + 5
+        report = monoidal_coherence(2, 3, trials=trials, seed=9, dim_z=2)
+        assert report.mu_iso == ("mu" not in failing)
+        for check in ("naturality", "associativity", "unitality"):
+            residual = getattr(report, f"{check}_max_residual")
+            assert (residual > 1e-12) == (check in failing), (check, residual)
+        assert not report.all_pass
+        argv = ["coherence", "--dims", "2,3,2", "--trials", "5", "--out", str(tmp_path / "c.json")]
+        assert main(argv) == EXIT_CHECK_FAILED
+
+    def test_trials_below_one_rejected(self):
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                monoidal_coherence(2, 2, trials=trials)
+
+    @pytest.mark.parametrize("dims, trials", [((4, 4, 4), 2000), ((4, 4, 64), 200)],
+                             ids=["444-2000-trials", "4464-200-trials"])
+    def test_memory_is_bounded_by_the_block(self, dims, trials):
+        dim_w, dim_v, dim_z = dims
+        monoidal_coherence(dim_w, dim_v, trials=1, dim_z=dim_z)  # one-time allocations
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                monoidal_coherence(dim_w, dim_v, trials=trials, dim_z=dim_z)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 64 trials per block at dims 4, 4, 4 and 4 at dims 4, 4, 64
+        block = max(1, COHERENCE_BLOCK_ENTRIES // (dim_w * dim_v * dim_z))
+        assert peak(trials) <= 1.25 * peak(block)
 
     def test_scalar_mul_matches_structure(self, rng):
         p = PairVector(rng.standard_normal(3), rng.standard_normal(3))
@@ -126,6 +217,25 @@ class TestCoherence:
         eye, zero = np.eye(3), np.zeros((3, 3))
         j = np.block([[zero, -eye], [eye, zero]])
         assert max_abs(scalar_mul(1j, p).stack() - j @ p.stack()) == 0
+
+
+def _stack(dim):
+    return st.shared(st.integers(1, 70), key="rows").flatmap(
+        lambda rows: arrays(np.float64, (rows, dim), elements=st.floats(-1e3, 1e3, width=64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(_stack(d), _stack(d))),
+       st.integers(1, 6).flatmap(lambda d: st.tuples(_stack(d), _stack(d))))
+def test_stacked_pair_kron_matches_kron_row_by_row(p_parts, q_parts):
+    p, q = PairVector(*p_parts), PairVector(*q_parts)
+    out = pair_kron(p, q)
+    re = _kron(p.real, q.real) - _kron(p.imag, q.imag)
+    im = _kron(p.real, q.imag) + _kron(p.imag, q.real)
+    assert np.array_equal(out.real, re) and np.array_equal(out.imag, im)
+    # a single row gives the same bits as its row of the stack
+    first = pair_kron(PairVector(p.real[0], p.imag[0]), PairVector(q.real[0], q.imag[0]))
+    assert np.array_equal(first.real, re[0]) and np.array_equal(first.imag, im[0])
 
 
 class TestSpanPreservation:

@@ -90,8 +90,7 @@ def _build_bases(cfg: dict, dim: int) -> KdBases:
         if not {"basis_a", "basis_b"} <= data.keys():
             raise ValueError("bases file needs both basis_a and basis_b")
         return KdBases(cmat_from_json(data["basis_a"]), cmat_from_json(data["basis_b"]))
-    preset = cfg.get("bases", "fourier")
-    return preset_bases(preset, dim)
+    return preset_bases(cfg.get("bases", "fourier"), dim)
 
 
 def run_kd_table(cfg: dict) -> int:
@@ -138,6 +137,8 @@ def _parse_system_spec(spec) -> tuple[str, int]:
 def _audit_slot(entry: dict, sys) -> SystemSlot:
     """Slot for one audited system: a frame file or a bases preset."""
     if "frame-file" in entry:
+        if not sys.is_quantum:
+            raise ValueError(f"frame files need a quantum system, not {sys.label}")
         loaded = frame_from_json(_load_json(entry["frame-file"]))
         pair = loaded if isinstance(loaded, DualPair) else canonical_dual(loaded)
         return SystemSlot.from_pair(pair)

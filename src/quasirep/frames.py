@@ -154,17 +154,14 @@ class Channel:
 
     def __init__(self, kraus, validate: bool = True):
         # read-only, so the derived matrices stay in step with it
-        stack = as_cstack(kraus)
-        _, d_out, d_in = stack.shape
-        self.d_in = d_in
-        self.d_out = d_out
-        self.kraus = stack
-        self.superop, self._gram = channel_stack(stack, validate)
+        self.kraus = as_cstack(kraus)
+        _, self.d_out, self.d_in = self.kraus.shape
+        self.superop, self._gram = channel_stack(self.kraus, validate)
 
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_k vec(K_k) vec(K_k)†``; PSD by construction."""
         vecs = self.kraus.reshape(len(self.kraus), -1)
-        return np.einsum("ki,kj->ij", vecs, vecs.conj())
+        return vecs.T @ vecs.conj()
 
     def is_trace_preserving(self) -> bool:
         return max_abs(self._gram - np.eye(self.d_in)) <= TRACE_PRESERVING_ATOL
@@ -199,7 +196,8 @@ def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]
     superops = kraus[..., 0, :, None, :, None] * conj[..., 0, None, :, None, :]
     for e in range(1, n):
         superops += kraus[..., e, :, None, :, None] * conj[..., e, None, :, None, :]
-    grams = np.einsum("...kji,...kjl->...il", conj, kraus)
+    flat = kraus.reshape(*batch, n * d_out, d_in)
+    grams = np.swapaxes(flat.conj(), -1, -2) @ flat
     if validate:
         excess = np.linalg.eigvalsh(grams - np.eye(d_in)).max()
         if excess > TRACE_EXCESS_ATOL:

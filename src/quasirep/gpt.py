@@ -241,9 +241,9 @@ def _decompose_matrix(states, effects, target) -> np.ndarray:
 def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:
     """Haar-random CPTP channel from a Stinespring isometry.
 
-    The environment has dimension ``d_in * d_out``; the isometry is the first
-    ``d_in`` columns of a Haar unitary on the output-plus-environment space,
-    so the Kraus operators satisfy ``sum K†K = I`` exactly.
+    The environment has dimension ``d_in * d_out``; the isometry is drawn by
+    :func:`random_kraus` as ``d_in`` Haar columns on the output-plus-environment
+    space, so the Kraus operators satisfy ``sum K†K = I`` exactly.
     """
     return Channel(random_kraus(d_in, d_out, [seed])[0])
 
@@ -252,10 +252,9 @@ def random_kraus(d_in: int, d_out: int, seeds) -> np.ndarray:
     """Kraus stacks of :func:`random_channel` for each seed, built at once.
 
     Returns shape ``(len(seeds), d_in * d_out, d_out, d_in)``.  Each channel
-    draws its own ``(2, dim, dim)`` normal block from ``default_rng(seed)``
-    (``dim = d_out * d_in * d_out``; :func:`child_generators` builds them all
-    at once) and keeps its first ``d_in`` columns; one batched QR turns them
-    into the Stinespring isometries.
+    draws one ``(2, d_out**2 * d_in, d_in)`` normal block from
+    ``default_rng(seed)`` (:func:`child_generators` builds them all at once);
+    one batched phase-fixed QR of these Ginibre columns gives Haar isometries.
     """
     if not (1 <= d_in <= MAX_QUANTUM_DIM and 1 <= d_out <= MAX_QUANTUM_DIM):
         raise DimensionError(f"channel dimensions must lie in 1..{MAX_QUANTUM_DIM}")
@@ -263,7 +262,7 @@ def random_kraus(d_in: int, d_out: int, seeds) -> np.ndarray:
     dim = d_out * env
     normals = np.empty((len(seeds), 2, dim, d_in))
     for i, rng in enumerate(child_generators(seeds)):
-        normals[i] = rng.standard_normal((2, dim, dim))[..., :d_in]
+        rng.standard_normal(out=normals[i])
     isometries = haar_isometries(normals)
     # Kraus operator e takes the isometry rows e, e + env, e + 2 env, ...
     return isometries.reshape(-1, d_out, env, d_in).transpose(0, 2, 1, 3)

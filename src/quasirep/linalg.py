@@ -48,7 +48,7 @@ def as_cmat(a, *, square: bool = False) -> np.ndarray:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -58,7 +58,7 @@ def as_cvec(v) -> np.ndarray:
     w = np.asarray(v, dtype=complex)
     if w.ndim != 1:
         raise DimensionError(f"expected a vector, got ndim={w.ndim}")
-    if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
+    if not np.all(np.isfinite(w)):
         raise ValueError("vector entries must be finite")
     return w
 

@@ -522,13 +522,14 @@ def audit_representation(
     3. for each pair ``(a, b)``, the seeds of the two channels and the
        weight ``w``.
 
-    Every seed is a scalar ``integers(2**31)`` draw, and each channel draws
-    its own normal block from ``default_rng(seed)`` (see
-    :func:`~quasirep.gpt.random_kraus`).  The decomposition check draws, per
-    pair, ``max(1, trials // 4)`` channel seeds from ``default_rng((seed,
-    trials))``.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``;
-    :func:`~quasirep.gpt.child_generators` builds a block's child generators
-    at once, each with exactly the state of ``default_rng(entropy)``.
+    Every seed is a scalar ``integers(2**31)`` draw; channel ``d_in -> d_out``
+    draws a ``(2, d_out**2 * d_in, d_in)`` normal block from
+    ``default_rng(seed)`` (:func:`~quasirep.gpt.random_kraus`).  The
+    decomposition check draws, per pair, ``max(1, trials // 4)`` channel seeds
+    from ``default_rng((seed, trials))``.  Trials are evaluated in blocks of
+    ``AUDIT_BLOCK_TRIALS``; :func:`~quasirep.gpt.child_generators` builds a
+    block's child generators at once, each with exactly the state of
+    ``default_rng(entropy)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quasirep.cli import EXIT_CHECK_FAILED, EXIT_CONSTRUCTION, EXIT_OK, main
 from quasirep.complexify import COHERENCE_BLOCK_ENTRIES
 from quasirep.frames import canonical_dual, frame_to_json, random_frame
+from quasirep.gpt import MAX_QUANTUM_DIM
 from quasirep.linalg import cmat_to_json
 from quasirep.structure import AUDIT_BLOCK_TRIALS
 
@@ -196,6 +197,17 @@ class TestAudit:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["dim_check"] is True
 
+    def test_quantum_fourier_at_the_dimension_cap(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "audit", "--system", f"quantum:{MAX_QUANTUM_DIM}", "--bases", "fourier",
+            "--trials", "2", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        core = ("semifunctorial", "empirically_adequate", "linear", "functorial", "dim_check")
+        assert all(report[key] is True for key in core)
+
     def test_non_faithful_bases_error(self, tmp_path):
         code = main([
             "audit", "--system", "quantum:2", "--bases", "computational",
@@ -207,12 +219,15 @@ class TestAudit:
 class TestGoldenReports:
     """Audit and coherence reports pinned byte for byte: batching must not change one digit.
 
-    The files under ``tests/golden`` pin the factored tomography (the
-    identity resolution and the state coordinates as products of small
-    matrices, with no Kronecker design), which sets the last digits of the
-    decomposition and discard residuals.  They were written on Python 3.11
-    with numpy 2.4 and OpenBLAS; a different BLAS or LAPACK build may round
-    residuals differently.
+    The audit reports under ``tests/golden`` pin the sampling contract, down
+    to each channel's one ``(2, d_out**2 * d_in, d_in)`` normal block, which
+    sets the last digits of the semi-functoriality, linearity and
+    decomposition residuals; and the factored tomography (the identity
+    resolution and the state coordinates as products of small matrices, with
+    no Kronecker design), which also sets those of the discard residual.  The
+    coherence reports pin the per-trial draw order of the coherence checks.
+    They were written on Python 3.11 with numpy 2.4 and OpenBLAS; a different
+    BLAS or LAPACK build may round residuals differently.
     """
 
     def test_qubit_frame_across_a_block_boundary(self, tmp_path):
@@ -288,6 +303,9 @@ class TestCoherence:
                                              {"system": "quantum:2"}]}, "quantum-2"),
         (["audit", "--system", "classical:2", "--frame-file", str(GOLDEN / "qubit_frame.json")],
          None, "classical-2"),
+        # the qubit frame's d**2 = 4 coordinates match classical:4, so only the kind can reject it
+        (["audit", "--system", "classical:4", "--frame-file", str(GOLDEN / "qubit_frame.json")],
+         None, "classical-4"),
         (["audit", "--system", "quantum:2", "--trials", "2", "--seed", "-1"], None, ""),
         (["kd-table", "--bases", "fourier", "--dim", "2", "--seed", "-1"], None, ""),
         (["kd-table", "--bases", "hadamard", "--state"], cmat_to_json(np.ones((1, 4))), "(1, 4)"),
@@ -304,9 +322,10 @@ class TestCoherence:
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
-         "audit-negative-seed", "kd-negative-seed", "kd-row-state", "kd-frame-row-state",
-         "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit", "classical-65",
-         "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65", "kd-dim-9"],
+         "qubit-frame-on-classical-4", "audit-negative-seed", "kd-negative-seed", "kd-row-state",
+         "kd-frame-row-state", "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit",
+         "classical-65", "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65",
+         "kd-dim-9"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

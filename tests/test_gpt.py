@@ -221,9 +221,9 @@ class TestRandomChannel:
             random_channel(9, 2, seed=0)
 
 
-def _haar_unitary_reference(dim, rng):
-    """Full QR of two separately drawn ``dim x dim`` Gaussian blocks, phases fixed."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def _haar_isometry_reference(rows, cols, rng):
+    """QR of two separately drawn ``rows x cols`` Gaussian blocks, phases fixed."""
+    z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
 
@@ -240,10 +240,10 @@ class TestStackedDraws:
         assert stack.shape == (len(seeds), env, d_out, d_in)
         for seed, kraus in zip(seeds, stack):
             assert np.array_equal(kraus, random_channel(d_in, d_out, seed).kraus)
-            # the definition: the first d_in columns of a Haar unitary on
+            # the definition: a Haar isometry from d_in Ginibre columns on
             # output (x) environment, Kraus operator e from rows e, e + env, ...
-            u = _haar_unitary_reference(d_out * env, np.random.default_rng(seed))
-            reference = u[:, :d_in].reshape(d_out, env, d_in).transpose(1, 0, 2)
+            v = _haar_isometry_reference(d_out * env, d_in, np.random.default_rng(seed))
+            reference = v.reshape(d_out, env, d_in).transpose(1, 0, 2)
             assert np.array_equal(kraus, reference)
 
     @settings(max_examples=60, deadline=None)
@@ -280,7 +280,7 @@ class TestStackedDraws:
         g = g @ g.conj().T
         assert np.array_equal(rho, g / np.trace(g).real)
         eff = random_effect(d, rng)
-        v = _haar_unitary_reference(d, ref)
+        v = _haar_isometry_reference(d, d, ref)
         assert np.array_equal(eff, v.conj().T @ np.diag(ref.uniform(0, 1, d)) @ v)
         assert rng.standard_normal() == ref.standard_normal()
 

@@ -114,6 +114,19 @@ def test_haar_isometry_is_leading_columns_of_haar_unitary(dim, data, seed):
     assert max_abs(v.conj().T @ v - np.eye(cols)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1))
+def test_haar_isometry_of_leading_columns_is_leading_columns(d_in, d_out, data, seed):
+    # why a channel may draw only the d_in columns it keeps: the isometry of a
+    # prefix of Ginibre columns is the prefix of the wider isometry, so both
+    # are distributed as the leading columns of a Haar unitary
+    rows = d_out**2 * d_in
+    cols = data.draw(st.integers(1, min(rows, 64)))
+    keep = data.draw(st.integers(1, cols))
+    g = np.random.default_rng(seed).standard_normal((2, rows, cols))
+    assert max_abs(haar_isometries(g[..., :keep]) - haar_isometries(g)[..., :keep]) <= 1e-12
+
+
 class TestJson:
     def test_round_trip(self, rng):
         m = random_complex_matrix(rng, 2, 3)

@@ -41,6 +41,7 @@ __all__ = [
     "tomographic_decompose",
     "random_channel",
     "random_kraus",
+    "channel_block_shape",
     "child_generators",
     "channel_to_process",
     "process_matrices",
@@ -241,31 +242,39 @@ def _decompose_matrix(states, effects, target) -> np.ndarray:
 def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:
     """Haar-random CPTP channel from a Stinespring isometry.
 
-    The environment has dimension ``d_in * d_out``; the isometry is drawn by
-    :func:`random_kraus` as ``d_in`` Haar columns on the output-plus-environment
-    space, so the Kraus operators satisfy ``sum K†K = I`` exactly.
+    The environment has dimension ``d_in * d_out``; the isometry is built by
+    :func:`random_kraus` from one normal block drawn from ``default_rng(seed)``,
+    so the Kraus operators satisfy ``sum K†K = I`` exactly.
     """
-    return Channel(random_kraus(d_in, d_out, [seed])[0])
+    normals = np.random.default_rng(seed).standard_normal(channel_block_shape(d_in, d_out))
+    return Channel(random_kraus(d_in, d_out, normals))
 
 
-def random_kraus(d_in: int, d_out: int, seeds) -> np.ndarray:
-    """Kraus stacks of :func:`random_channel` for each seed, built at once.
-
-    Returns shape ``(len(seeds), d_in * d_out, d_out, d_in)``.  Each channel
-    draws one ``(2, d_out**2 * d_in, d_in)`` normal block from
-    ``default_rng(seed)`` (:func:`child_generators` builds them all at once);
-    one batched phase-fixed QR of these Ginibre columns gives Haar isometries.
-    """
+def channel_block_shape(d_in: int, d_out: int) -> tuple[int, int, int]:
+    """Shape ``(2, d_out**2 * d_in, d_in)`` of the normal block one channel
+    ``d_in -> d_out`` draws: real and imaginary parts of its Ginibre columns."""
     if not (1 <= d_in <= MAX_QUANTUM_DIM and 1 <= d_out <= MAX_QUANTUM_DIM):
         raise DimensionError(f"channel dimensions must lie in 1..{MAX_QUANTUM_DIM}")
+    return (2, d_out**2 * d_in, d_in)
+
+
+def random_kraus(d_in: int, d_out: int, normals) -> np.ndarray:
+    """Kraus operators of Haar-random channels from their normal blocks.
+
+    ``normals`` is one :func:`channel_block_shape` block or a ``(..., 2,
+    d_out**2 * d_in, d_in)`` stack of them; the result has shape ``(...,
+    d_in * d_out, d_out, d_in)``.  One batched phase-fixed QR of the Ginibre
+    columns gives Haar isometries on output (x) environment.
+    """
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape[-3:] != channel_block_shape(d_in, d_out):
+        raise DimensionError(
+            f"normal blocks {normals.shape} do not fit a {d_in} -> {d_out} channel"
+        )
     env = d_in * d_out
-    dim = d_out * env
-    normals = np.empty((len(seeds), 2, dim, d_in))
-    for i, rng in enumerate(child_generators(seeds)):
-        rng.standard_normal(out=normals[i])
     isometries = haar_isometries(normals)
     # Kraus operator e takes the isometry rows e, e + env, e + 2 env, ...
-    return isometries.reshape(-1, d_out, env, d_in).transpose(0, 2, 1, 3)
+    return isometries.reshape(*normals.shape[:-3], d_out, env, d_in).swapaxes(-3, -2)
 
 
 # SeedSequence.generate_state, word i: xor INIT_B * MULT_B**i, times INIT_B * MULT_B**(i + 1)

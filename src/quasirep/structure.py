@@ -35,7 +35,8 @@ from .errors import (
 )
 from .frames import Channel, DualPair, Frame, channel_stack
 from .gpt import (
-    GptSystem, child_generators, density_stack, effect_stack, process_matrices, random_kraus,
+    GptSystem, channel_block_shape, child_generators, density_stack, effect_stack,
+    process_matrices, random_kraus,
 )
 from .linalg import as_cmat, max_abs, rank_range
 
@@ -420,77 +421,62 @@ def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray) -> f
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
-def _child_seed(rng: np.random.Generator) -> int:
-    """One channel seed; always a scalar draw (a ``size=`` draw gives other values)."""
-    return int(rng.integers(2**31))
+def _draw(gens: list, shape: tuple, uniform: bool = False) -> np.ndarray:
+    """One block of ``shape`` from each trial's generator in turn: standard
+    normals, or with ``uniform`` draws on ``[0, 1)`` (the values of ``uniform(0, 1)``)."""
+    out = np.empty((len(gens), *shape))
+    for t, rng in enumerate(gens):
+        (rng.random if uniform else rng.standard_normal)(out=out[t])
+    return out
 
 
-def _random_channels(d_in: int, d_out: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus stacks and trace-checked superoperators of ``random_channel`` per seed."""
-    kraus = random_kraus(d_in, d_out, seeds)
-    return kraus, channel_stack(kraus)[0]
+def _draw_kraus(gens: list, d_in: int, d_out: int) -> np.ndarray:
+    """Kraus stacks of one channel role: one channel per trial's generator."""
+    return random_kraus(d_in, d_out, _draw(gens, channel_block_shape(d_in, d_out)))
 
 
 def _audit_block(
-    rep: Representation, quantum: list[GptSystem], seed: int, block: range
+    rep: Representation, quantum: list[GptSystem], gens: list
 ) -> tuple[float, float, float]:
     """Semi-functoriality, adequacy and linearity residuals over a block of trials.
 
-    Every sample of the block is drawn first, trial by trial in the order of
-    the sampling contract (see :func:`audit_representation`).  Then each
-    channel role (``T1`` and ``T2`` of a triple, the linearity pair of a
-    system pair) is built for the whole block as one stack, and each residual
-    is taken over stacked products.  Only one triple's or pair's stacks are
-    alive at a time, which keeps memory at a few stacks of the block size.
+    ``gens`` holds one generator per trial of the block.  Samples are drawn
+    role by role in the order of the sampling contract (see
+    :func:`audit_representation`), each role once from every generator in
+    turn, so each trial's stream is read in order.  A channel role (``T1`` and
+    ``T2`` of a triple, either linearity channel of a system pair) is built
+    for the whole block as one stack, and each residual is taken over stacked
+    products; only one triple's or pair's stacks are alive at a time.
+    Residuals fold with a NaN-propagating maximum.
     """
-    n, size = len(quantum), len(block)
-    # sf_seeds[t, a, b, c] seeds T1: a -> b and T2: b -> c of triple (a, b, c)
-    sf_seeds = np.empty((size, n, n, n, 2), dtype=np.int64)
-    lin_seeds = np.empty((size, n, n, 2), dtype=np.int64)
-    mix_weights = np.empty((size, n, n))
-    state_normals = [np.empty((size, 2, s.dim, s.dim)) for s in quantum]
-    effect_normals = [np.empty((size, 2, s.dim, s.dim)) for s in quantum]
-    effect_weights = [np.empty((size, s.dim)) for s in quantum]
-    for t, rng in enumerate(child_generators([(seed, trial) for trial in block])):
-        sf_seeds[t].flat = [_child_seed(rng) for _ in range(2 * n**3)]
-        for i, sys in enumerate(quantum):
-            state_normals[i][t] = rng.standard_normal((2, sys.dim, sys.dim))
-            effect_normals[i][t] = rng.standard_normal((2, sys.dim, sys.dim))
-            effect_weights[i][t] = rng.uniform(0, 1, sys.dim)
-        for i, j in np.ndindex(n, n):
-            lin_seeds[t, i, j] = _child_seed(rng), _child_seed(rng)
-            mix_weights[t, i, j] = rng.uniform(0, 1)
-
-    semif = 0.0
-    for (i, a), (j, b), (k, c) in itertools.product(enumerate(quantum), repeat=3):
-        _, s1 = _random_channels(a.dim, b.dim, sf_seeds[:, i, j, k, 0])
-        _, s2 = _random_channels(b.dim, c.dim, sf_seeds[:, i, j, k, 1])
+    semif = adequacy = linearity = 0.0
+    for a, b, c in itertools.product(quantum, repeat=3):
+        s1 = channel_stack(_draw_kraus(gens, a.dim, b.dim))[0]
+        s2 = channel_stack(_draw_kraus(gens, b.dim, c.dim))[0]
         whole = rep.apply(a.label, c.label, s2 @ s1)
         product = rep.apply(b.label, c.label, s2) @ rep.apply(a.label, b.label, s1)
-        semif = max(semif, max_abs(whole - product))
+        semif = np.maximum(semif, max_abs(whole - product))
 
-    adequacy = 0.0
-    for i, sys in enumerate(quantum):
-        rho = density_stack(state_normals[i])
-        eff = effect_stack(effect_normals[i], effect_weights[i])
+    for sys in quantum:
+        rho = density_stack(_draw(gens, (2, sys.dim, sys.dim)))
+        eff_normals = _draw(gens, (2, sys.dim, sys.dim))
+        eff = effect_stack(eff_normals, _draw(gens, (sys.dim,), uniform=True))
         mu = rep.represent_state(sys.label, rho)
         xi = rep.represent_effect(sys.label, eff)
         gap = (xi[:, None, :] @ mu[:, :, None])[:, 0, 0] - np.trace(eff @ rho, axis1=1, axis2=2)
         # hypot is the scalar complex abs; the array abs may differ in the last bit
-        adequacy = max(adequacy, np.hypot(gap.real, gap.imag).max())
+        adequacy = np.maximum(adequacy, np.hypot(gap.real, gap.imag).max())
 
-    linearity = 0.0
-    for (i, a), (j, b) in itertools.product(enumerate(quantum), repeat=2):
-        kraus, stack = _random_channels(a.dim, b.dim, lin_seeds[:, i, j].reshape(-1))
-        kraus = kraus.reshape(size, 2, *kraus.shape[1:])
-        gamma = rep.apply(a.label, b.label, stack)
-        gamma = gamma.reshape(size, 2, *gamma.shape[1:])
-        w = mix_weights[:, i, j, None, None]
+    for a, b in itertools.product(quantum, repeat=2):
+        k1, k2 = _draw_kraus(gens, a.dim, b.dim), _draw_kraus(gens, a.dim, b.dim)
+        w = _draw(gens, (1, 1), uniform=True)
+        gamma = rep.apply(a.label, b.label, channel_stack(np.concatenate([k1, k2]))[0])
+        g1, g2 = np.split(gamma, 2)
         mixture = np.concatenate(
-            [np.sqrt(w[..., None]) * kraus[:, 0], np.sqrt(1 - w[..., None]) * kraus[:, 1]], axis=1
+            [np.sqrt(w[..., None]) * k1, np.sqrt(1 - w[..., None]) * k2], axis=1
         )
         mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
-        linearity = max(linearity, max_abs(mixed - (w * gamma[:, 0] + (1 - w) * gamma[:, 1])))
+        linearity = np.maximum(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
     return semif, adequacy, linearity
 
 
@@ -512,24 +498,25 @@ def audit_representation(
     Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum.
 
     Sampling contract (what makes a report a function of ``seed`` and
-    ``trials`` alone, however the work is batched): trial ``t`` draws from
-    its own child generator ``default_rng((seed, t))``, in this order:
+    ``trials`` alone, however the work is batched): trial ``t`` draws
+    everything from its own generator ``default_rng((seed, t))``, in this
+    order:
 
     1. for each triple ``(a, b, c)`` of quantum systems, in nested order,
-       the seeds of ``T1: a -> b`` and ``T2: b -> c``;
-    2. for each quantum system, the state (two ``d x d`` normal blocks) and
+       the normal blocks of ``T1: a -> b`` and ``T2: b -> c``;
+    2. for each quantum system, the state (a ``(2, d, d)`` normal block) and
        then the effect (a ``(2, d, d)`` normal block, then ``d`` uniforms);
-    3. for each pair ``(a, b)``, the seeds of the two channels and the
-       weight ``w``.
+    3. for each pair ``(a, b)``, the normal blocks of the two channels and
+       the weight ``w``.
 
-    Every seed is a scalar ``integers(2**31)`` draw; channel ``d_in -> d_out``
-    draws a ``(2, d_out**2 * d_in, d_in)`` normal block from
-    ``default_rng(seed)`` (:func:`~quasirep.gpt.random_kraus`).  The
-    decomposition check draws, per pair, ``max(1, trials // 4)`` channel seeds
-    from ``default_rng((seed, trials))``.  Trials are evaluated in blocks of
+    A channel ``d_in -> d_out`` is built by :func:`~quasirep.gpt.random_kraus`
+    from one ``(2, d_out**2 * d_in, d_in)`` normal block.  The decomposition
+    check draws, per pair, ``max(1, trials // 4)`` such blocks from
+    ``default_rng((seed, trials))``.  Trials are evaluated in blocks of
     ``AUDIT_BLOCK_TRIALS``; :func:`~quasirep.gpt.child_generators` builds a
-    block's child generators at once, each with exactly the state of
-    ``default_rng(entropy)``.
+    block's generators at once, each with exactly the state of
+    ``default_rng(entropy)``.  A residual that overflows to NaN is reported
+    as ``inf``, and its verdict is false.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -546,46 +533,49 @@ def audit_representation(
             )
     quantum = [s for s in systems if s.is_quantum]
 
-    semif = adequacy = linearity = 0.0
-    for start in range(0, trials if quantum else 0, AUDIT_BLOCK_TRIALS):
-        block = range(start, min(start + AUDIT_BLOCK_TRIALS, trials))
-        residuals = _audit_block(rep, quantum, seed, block)
-        semif, adequacy, linearity = map(max, (semif, adequacy, linearity), residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.zeros(3)
+        for start in range(0, trials if quantum else 0, AUDIT_BLOCK_TRIALS):
+            block = range(start, min(start + AUDIT_BLOCK_TRIALS, trials))
+            gens = child_generators([(seed, t) for t in block])
+            residuals = np.maximum(residuals, _audit_block(rep, quantum, gens))
 
-    chis = {s.label: extract_chi(rep, s) for s in systems}
-    discard = max((_discard_residual(rep, s, chis[s.label]) for s in systems), default=0.0)
-    functorial = all(
-        max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size)) <= IDEMPOTENCY_ATOL
-        for s in systems
-    )
+        chis = {s.label: extract_chi(rep, s) for s in systems}
+        discard = np.max([_discard_residual(rep, s, chis[s.label]) for s in systems], initial=0.0)
+        functorial = all(
+            max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size)) <= IDEMPOTENCY_ATOL
+            for s in systems
+        )
 
-    # one rank decision per system: dim_check holds iff every chi is injective
-    phis = {}
-    for sys in systems:
-        try:
-            phis[sys.label] = extract_phi(rep, sys, chis[sys.label])
-        except InjectivityError:
-            pass
-    dim_ok = len(phis) == len(systems)
+        # one rank decision per system: dim_check holds iff every chi is injective
+        phis = {}
+        for sys in systems:
+            try:
+                phis[sys.label] = extract_phi(rep, sys, chis[sys.label])
+            except InjectivityError:
+                pass
+        dim_ok = len(phis) == len(systems)
 
-    decomposition = 0.0
-    if any(s.label not in phis for s in quantum):
-        decomposition = float("inf")
-    else:
-        rng = child_generators([(seed, trials)])[0]
-        for sys_a, sys_b in itertools.product(quantum, repeat=2):
-            seeds = [_child_seed(rng) for _ in range(max(1, trials // 4))]
-            for start in range(0, len(seeds), AUDIT_BLOCK_TRIALS):
-                _, stack = _random_channels(
-                    sys_a.dim, sys_b.dim, seeds[start:start + AUDIT_BLOCK_TRIALS]
-                )
-                residual = _decomposition_residual(
-                    rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label], stack
-                )
-                decomposition = max(decomposition, residual)
+        decomposition = 0.0
+        if any(s.label not in phis for s in quantum):
+            decomposition = float("inf")
+        else:
+            rng = child_generators([(seed, trials)])[0]
+            count = max(1, trials // 4)
+            for sys_a, sys_b in itertools.product(quantum, repeat=2):
+                for start in range(0, count, AUDIT_BLOCK_TRIALS):
+                    # consecutive blocks from the one decomposition generator
+                    kraus = _draw_kraus([rng] * min(AUDIT_BLOCK_TRIALS, count - start),
+                                        sys_a.dim, sys_b.dim)
+                    residual = _decomposition_residual(
+                        rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label],
+                        channel_stack(kraus)[0],
+                    )
+                    decomposition = np.maximum(decomposition, residual)
 
-    semif, adequacy = float(semif), float(adequacy)
-    linearity, discard = float(linearity), float(discard)
+    semif, adequacy, linearity, discard, decomposition = np.nan_to_num(
+        [*residuals, discard, decomposition], nan=np.inf, posinf=np.inf
+    ).tolist()
     return AuditReport(
         semifunctorial=semif <= SEMIFUNCTORIAL_ATOL,
         semifunctorial_residual=semif,
@@ -596,7 +586,7 @@ def audit_representation(
         discard_preserving=discard <= DISCARD_ATOL,
         discard_residual=discard,
         functorial=bool(functorial),
-        decomposition_residual=float(decomposition),
+        decomposition_residual=decomposition,
         dim_check=bool(dim_ok),
         seed=seed,
         trials=trials,

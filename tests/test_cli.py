@@ -148,6 +148,24 @@ class TestAudit:
         ])
         assert code == EXIT_CHECK_FAILED
 
+    def test_overflowing_dual_reports_inf_not_zero(self, tmp_path):
+        # an overflow makes the semi-functoriality residual NaN; a plain max()
+        # dropped it and reported 0.0 with a passing verdict
+        pair = canonical_dual(random_frame(2, 8, np.random.default_rng(3)))
+        record = frame_to_json(pair.frame, dual=pair.dual)
+        record["dual"][0]["re"][0] = 1e300
+        frame_file = tmp_path / "frame.json"
+        frame_file.write_text(json.dumps(record))
+        out = tmp_path / "report.json"
+        code = main([
+            "audit", "--system", "quantum:2", "--frame-file", str(frame_file),
+            "--trials", "3", "--out", str(out),
+        ])
+        assert code == EXIT_CHECK_FAILED
+        report = json.loads(out.read_text())
+        assert report["semifunctorial"] is False
+        assert report["semifunctorial_residual"] == float("inf")
+
     def test_deterministic_reports(self, tmp_path):
         outs = []
         for name in ("r1.json", "r2.json"):
@@ -220,9 +238,10 @@ class TestGoldenReports:
     """Audit and coherence reports pinned byte for byte: batching must not change one digit.
 
     The audit reports under ``tests/golden`` pin the sampling contract, down
-    to each channel's one ``(2, d_out**2 * d_in, d_in)`` normal block, which
-    sets the last digits of the semi-functoriality, linearity and
-    decomposition residuals; and the factored tomography (the identity
+    to the order in which each trial's generator yields its channels'
+    ``(2, d_out**2 * d_in, d_in)`` normal blocks, states, effects and
+    weights, which sets the last digits of the semi-functoriality, adequacy,
+    linearity and decomposition residuals; and the factored tomography (the identity
     resolution and the state coordinates as products of small matrices, with
     no Kronecker design), which also sets those of the discard residual.  The
     coherence reports pin the per-trial draw order of the coherence checks.

@@ -9,6 +9,7 @@ from quasirep.errors import DimensionError, SpanningError
 from quasirep.frames import unitary_channel
 from quasirep.gpt import (
     GptProcess,
+    channel_block_shape,
     channel_to_process,
     child_generators,
     density_stack,
@@ -219,6 +220,8 @@ class TestRandomChannel:
     def test_dims_capped(self):
         with pytest.raises(DimensionError):
             random_channel(9, 2, seed=0)
+        with pytest.raises(DimensionError, match="do not fit a 2 -> 3 channel"):
+            random_kraus(2, 3, np.zeros((2, 18, 3)))
 
 
 def _haar_isometry_reference(rows, cols, rng):
@@ -235,7 +238,9 @@ class TestStackedDraws:
     @given(st.integers(1, 4), st.integers(1, 4),
            st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4))
     def test_random_kraus_equals_random_channel(self, d_in, d_out, seeds):
-        stack = random_kraus(d_in, d_out, seeds)
+        shape = channel_block_shape(d_in, d_out)
+        normals = np.array([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+        stack = random_kraus(d_in, d_out, normals)
         env = d_in * d_out
         assert stack.shape == (len(seeds), env, d_out, d_in)
         for seed, kraus in zip(seeds, stack):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,12 +13,13 @@ from quasirep.errors import (
     SplittingMismatchError,
 )
 from quasirep.frames import (
+    Channel,
     DualPair,
     Frame,
     canonical_dual,
     random_frame,
 )
-from quasirep.gpt import make_system, random_channel, random_density
+from quasirep.gpt import make_system, random_channel, random_density, random_effect
 from quasirep.kirkwood_dirac import kd_distribution, kd_frame_pair, preset_bases, random_faithful_bases
 from quasirep.linalg import max_abs, rank_range, vectorize
 from quasirep.structure import (
@@ -417,6 +419,94 @@ class TestAudit:
         monkeypatch.setattr(structure, "child_generators", one_by_one)
         reference = audit_representation(rep, [qubit, qutrit], trials=trials, seed=seed)
         assert batched.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("seed", [0, 2**40])
+    def test_equals_one_trial_at_a_time_reference(self, qubit, qutrit, seed):
+        """The sampling contract, rebuilt with no batching and no batched seeding."""
+        rep = build_representation({
+            qubit.label: kd_frame_pair(random_faithful_bases(2, seed=4)),
+            qutrit.label: canonical_dual(random_frame(3, 11, np.random.default_rng(8))),
+        })
+        systems = [qubit, qutrit]
+        trials = AUDIT_BLOCK_TRIALS + 1
+
+        def draw_channel(rng, a, b):
+            normals = rng.standard_normal(gpt.channel_block_shape(a.dim, b.dim))
+            return Channel(gpt.random_kraus(a.dim, b.dim, normals))
+
+        semif, adequacy, linearity = [], [], []
+        for t in range(trials):
+            rng = np.random.default_rng((seed, t))
+            for a, b, c in itertools.product(systems, repeat=3):
+                ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, b, c)
+                whole = rep.apply(a.label, c.label, ch2.superop @ ch1.superop)
+                product = rep.apply(b.label, c.label, ch2) @ rep.apply(a.label, b.label, ch1)
+                semif.append(max_abs(whole - product))
+            for sys in systems:
+                rho, eff = random_density(sys.dim, rng), random_effect(sys.dim, rng)
+                mu = rep.represent_state(sys.label, rho)
+                xi = rep.represent_effect(sys.label, eff)
+                adequacy.append(abs((xi[None, :] @ mu[:, None])[0, 0] - np.trace(eff @ rho)))
+            for a, b in itertools.product(systems, repeat=2):
+                ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, a, b)
+                w = rng.uniform(0, 1)
+                mixed = Channel([*(np.sqrt(w) * ch1.kraus), *(np.sqrt(1 - w) * ch2.kraus)])
+                weighted = (w * rep.apply(a.label, b.label, ch1)
+                            + (1 - w) * rep.apply(a.label, b.label, ch2))
+                linearity.append(max_abs(rep.apply(a.label, b.label, mixed) - weighted))
+
+        rng = np.random.default_rng((seed, trials))
+        decomposition = [
+            verify_decomposition(rep, a, b, [draw_channel(rng, a, b)])
+            for a, b in itertools.product(systems, repeat=2)
+            for _ in range(max(1, trials // 4))
+        ]
+        discard = max(_discard_residual(rep, s, extract_chi(rep, s)) for s in systems)
+        expected = {
+            "semifunctorial": max(semif) <= structure.SEMIFUNCTORIAL_ATOL,
+            "semifunctorial_residual": max(semif),
+            "empirically_adequate": max(adequacy) <= structure.ADEQUACY_ATOL,
+            "adequacy_residual": max(adequacy),
+            "linear": max(linearity) <= structure.LINEARITY_ATOL,
+            "linearity_residual": max(linearity),
+            "discard_preserving": discard <= structure.DISCARD_ATOL,
+            "discard_residual": discard,
+            "functorial": all(
+                max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size))
+                <= structure.IDEMPOTENCY_ATOL
+                for s in systems
+            ),
+            "decomposition_residual": max(decomposition),
+            "dim_check": True,
+            "seed": seed,
+            "trials": trials,
+        }
+        report = audit_representation(rep, systems, trials=trials, seed=seed)
+        assert report.to_json() == expected
+        assert report.all_core_pass
+
+    def test_builds_one_generator_per_trial_and_one_for_decomposition(
+        self, qubit, qutrit, monkeypatch
+    ):
+        rep = build_representation({
+            qubit.label: kd_frame_pair(random_faithful_bases(2, seed=4)),
+            qutrit.label: kd_frame_pair(random_faithful_bases(3, seed=5)),
+        })
+        built = []
+
+        def counting(make):
+            def wrapper(*args, **kwargs):
+                built.append(make.__name__)
+                return make(*args, **kwargs)
+            return wrapper
+
+        # every Generator quasirep builds comes from one of these two names
+        monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
+        monkeypatch.setattr(np.random, "default_rng", counting(np.random.default_rng))
+        for trials in (1, AUDIT_BLOCK_TRIALS + 3):
+            built.clear()
+            audit_representation(rep, [qubit, qutrit], trials=trials, seed=0)
+            assert built == ["Generator"] * (trials + 1)
 
     def test_repeated_system_is_rejected(self, qubit):
         rep, _ = kd_rep(qubit)

@@ -84,6 +84,14 @@ def _coerce(kind: type, value, name: str):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
 
 
+def _seed(cfg: dict) -> int:
+    """The run's seed: a non-negative integer, as numpy's generators require."""
+    seed = _coerce(int, cfg.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _build_bases(cfg: dict, dim: int) -> KdBases:
     if "bases-file" in cfg:
         data = _load_json(cfg["bases-file"])
@@ -103,7 +111,7 @@ def run_kd_table(cfg: dict) -> int:
     if "state" in cfg:
         rho = cmat_from_json(_load_json(cfg["state"]))
     else:
-        rng = np.random.default_rng(_coerce(int, cfg.get("seed", 0), "seed"))
+        rng = np.random.default_rng(_seed(cfg))
         rho = random_density(dim, rng)
     if rho.shape != (dim, dim):
         raise DimensionError(f"state has shape {rho.shape}; the bases need ({dim}, {dim})")
@@ -149,7 +157,7 @@ def _audit_slot(entry: dict, sys) -> SystemSlot:
 
 
 def run_audit(cfg: dict) -> int:
-    seed = _coerce(int, cfg.get("seed", 0), "seed")
+    seed = _seed(cfg)
     trials = _coerce(int, cfg.get("trials", 20), "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -205,7 +213,7 @@ def run_coherence(cfg: dict) -> int:
     dims = (dims + [2, 2, 2])[:3]
     report = monoidal_coherence(
         dims[0], dims[1], trials=_coerce(int, cfg.get("trials", 50), "trials"),
-        seed=_coerce(int, cfg.get("seed", 0), "seed"), dim_z=dims[2],
+        seed=_seed(cfg), dim_z=dims[2],
     )
     _write_text(cfg.get("out"), json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED

@@ -147,8 +147,8 @@ class Channel:
     The Kraus operators are held as one read-only ``(n, d_out, d_in)``
     complex array, ``kraus``, copied from the input, which is ground truth;
     the superoperator matrix acting on row-major vectorizations and the
-    gram ``sum K†K`` are derived from it once, by :func:`channel_stack`,
-    which builds many channels at once.  Any sequence of equally shaped
+    gram ``sum K†K`` are derived from it once, by :func:`channel_stack`
+    (one Choi product per family).  Any sequence of equally shaped
     matrices, or such a stack, is accepted.
     """
 
@@ -159,9 +159,9 @@ class Channel:
         self.superop, self._gram = channel_stack(self.kraus, validate)
 
     def choi(self) -> np.ndarray:
-        """Choi matrix ``sum_k vec(K_k) vec(K_k)†``; PSD by construction."""
-        vecs = self.kraus.reshape(len(self.kraus), -1)
-        return vecs.T @ vecs.conj()
+        """Choi matrix ``sum_k vec(K_k) vec(K_k)†``: ``superop`` realigned back."""
+        d_out, d_in = self.d_out, self.d_in
+        return self.superop.reshape(d_out, d_out, d_in, d_in).swapaxes(1, 2).reshape(d_out * d_in, -1)
 
     def is_trace_preserving(self) -> bool:
         return max_abs(self._gram - np.eye(self.d_in)) <= TRACE_PRESERVING_ATOL
@@ -177,11 +177,13 @@ def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]
     """Superoperators and grams of Kraus families ``(..., n, d_out, d_in)``.
 
     Each superoperator is ``sum_e kron(K_e, conj(K_e))``, acting on row-major
-    vectorizations, accumulated over the Kraus index in order so that memory
-    stays at one superoperator per family; each gram is ``sum_e K_e† K_e``.
-    With ``validate``, one batched eigenvalue call checks that no family
-    increases the trace (largest eigenvalue of ``gram - I`` at most
-    ``TRACE_EXCESS_ATOL``); a :class:`Channel` is this on a single family.
+    vectorizations.  It is formed as one batched product over the Kraus
+    index: the Choi matrix ``sum_e vec(K_e) vec(K_e)†``, realigned from
+    ``(out, in), (out', in')`` to ``(out, out'), (in, in')`` order.  Each
+    gram is ``sum_e K_e† K_e``.  With ``validate``, one batched eigenvalue
+    call checks that no family increases the trace (largest eigenvalue of
+    ``gram - I`` at most ``TRACE_EXCESS_ATOL``); a :class:`Channel` is this
+    on a single family.
 
     Returns:
         ``(superops, grams)`` of shapes ``(..., d_out**2, d_in**2)`` and
@@ -192,12 +194,13 @@ def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]
     """
     kraus = np.asarray(kraus)
     *batch, n, d_out, d_in = kraus.shape
-    conj = kraus.conj()
-    superops = kraus[..., 0, :, None, :, None] * conj[..., 0, None, :, None, :]
-    for e in range(1, n):
-        superops += kraus[..., e, :, None, :, None] * conj[..., e, None, :, None, :]
-    flat = kraus.reshape(*batch, n * d_out, d_in)
-    grams = np.swapaxes(flat.conj(), -1, -2) @ flat
+    # one copy of a strided stack, and one conjugate, serve both products
+    vecs = kraus.reshape(*batch, n, d_out * d_in)
+    conj = vecs.conj()
+    choi = np.swapaxes(vecs, -1, -2) @ conj
+    superops = choi.reshape(*batch, d_out, d_in, d_out, d_in).swapaxes(-3, -2)
+    flat, conj_flat = (m.reshape(*batch, n * d_out, d_in) for m in (vecs, conj))
+    grams = np.swapaxes(conj_flat, -1, -2) @ flat
     if validate:
         excess = np.linalg.eigvalsh(grams - np.eye(d_in)).max()
         if excess > TRACE_EXCESS_ATOL:

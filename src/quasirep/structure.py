@@ -22,6 +22,7 @@ to a unique intertwiner are handled by :func:`split_idempotent` and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,18 +422,16 @@ def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray) -> f
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
-def _draw(gens: list, shape: tuple, uniform: bool = False) -> np.ndarray:
-    """One block of ``shape`` from each trial's generator in turn: standard
-    normals, or with ``uniform`` draws on ``[0, 1)`` (the values of ``uniform(0, 1)``)."""
-    out = np.empty((len(gens), *shape))
+def _draw(gens: list, shapes: list, uniform: bool = False) -> list[np.ndarray]:
+    """Consecutive blocks of ``shapes``, each as a ``(trials, *shape)`` array, in one
+    call to each trial's generator: standard normals, or with ``uniform`` draws
+    on ``[0, 1)`` (the values of ``uniform(0, 1)``)."""
+    sizes = [math.prod(shape) for shape in shapes]
+    out = np.empty((len(gens), sum(sizes)))
     for t, rng in enumerate(gens):
         (rng.random if uniform else rng.standard_normal)(out=out[t])
-    return out
-
-
-def _draw_kraus(gens: list, d_in: int, d_out: int) -> np.ndarray:
-    """Kraus stacks of one channel role: one channel per trial's generator."""
-    return random_kraus(d_in, d_out, _draw(gens, channel_block_shape(d_in, d_out)))
+    parts = np.split(out, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(gens), *shape) for part, shape in zip(parts, shapes)]
 
 
 def _audit_block(
@@ -441,26 +440,27 @@ def _audit_block(
     """Semi-functoriality, adequacy and linearity residuals over a block of trials.
 
     ``gens`` holds one generator per trial of the block.  Samples are drawn
-    role by role in the order of the sampling contract (see
-    :func:`audit_representation`), each role once from every generator in
-    turn, so each trial's stream is read in order.  A channel role (``T1`` and
-    ``T2`` of a triple, either linearity channel of a system pair) is built
-    for the whole block as one stack, and each residual is taken over stacked
-    products; only one triple's or pair's stacks are alive at a time.
-    Residuals fold with a NaN-propagating maximum.
+    in the order of the sampling contract (see :func:`audit_representation`),
+    one call to every generator per run of same-kind draws (a triple's ``T1``
+    and ``T2``, a system's state and effect normals, a pair's two channels).
+    A channel role is built for the whole block as one stack (a pair's two
+    channels as one ``(B, 2, ...)`` stack), and each residual is taken over
+    stacked products; only one triple's or pair's stacks are alive at a
+    time.  Residuals fold with a NaN-propagating maximum.
     """
     semif = adequacy = linearity = 0.0
     for a, b, c in itertools.product(quantum, repeat=3):
-        s1 = channel_stack(_draw_kraus(gens, a.dim, b.dim))[0]
-        s2 = channel_stack(_draw_kraus(gens, b.dim, c.dim))[0]
+        n1, n2 = _draw(gens, [channel_block_shape(a.dim, b.dim), channel_block_shape(b.dim, c.dim)])
+        s1 = channel_stack(random_kraus(a.dim, b.dim, n1))[0]
+        s2 = channel_stack(random_kraus(b.dim, c.dim, n2))[0]
         whole = rep.apply(a.label, c.label, s2 @ s1)
         product = rep.apply(b.label, c.label, s2) @ rep.apply(a.label, b.label, s1)
         semif = np.maximum(semif, max_abs(whole - product))
 
     for sys in quantum:
-        rho = density_stack(_draw(gens, (2, sys.dim, sys.dim)))
-        eff_normals = _draw(gens, (2, sys.dim, sys.dim))
-        eff = effect_stack(eff_normals, _draw(gens, (sys.dim,), uniform=True))
+        rho_normals, eff_normals = _draw(gens, [(2, sys.dim, sys.dim)] * 2)
+        rho = density_stack(rho_normals)
+        eff = effect_stack(eff_normals, _draw(gens, [(sys.dim,)], uniform=True)[0])
         mu = rep.represent_state(sys.label, rho)
         xi = rep.represent_effect(sys.label, eff)
         gap = (xi[:, None, :] @ mu[:, :, None])[:, 0, 0] - np.trace(eff @ rho, axis1=1, axis2=2)
@@ -468,13 +468,15 @@ def _audit_block(
         adequacy = np.maximum(adequacy, np.hypot(gap.real, gap.imag).max())
 
     for a, b in itertools.product(quantum, repeat=2):
-        k1, k2 = _draw_kraus(gens, a.dim, b.dim), _draw_kraus(gens, a.dim, b.dim)
-        w = _draw(gens, (1, 1), uniform=True)
-        gamma = rep.apply(a.label, b.label, channel_stack(np.concatenate([k1, k2]))[0])
-        g1, g2 = np.split(gamma, 2)
-        mixture = np.concatenate(
-            [np.sqrt(w[..., None]) * k1, np.sqrt(1 - w[..., None]) * k2], axis=1
-        )
+        both = (2, *channel_block_shape(a.dim, b.dim))
+        kraus = random_kraus(a.dim, b.dim, _draw(gens, [both])[0])  # (B, 2, n, d_out, d_in)
+        w = _draw(gens, [(1, 1)], uniform=True)[0]
+        superops = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
+        gamma = rep.apply(a.label, b.label, superops)
+        g1, g2 = gamma[0::2], gamma[1::2]
+        # the mixture's Kraus family: sqrt(w) K1, then sqrt(1 - w) K2
+        scales = np.sqrt(np.concatenate([w, 1 - w], axis=1))[..., None, None]
+        mixture = (scales * kraus).reshape(len(gens), -1, b.dim, a.dim)
         mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
         linearity = np.maximum(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
     return semif, adequacy, linearity
@@ -515,8 +517,9 @@ def audit_representation(
     ``default_rng((seed, trials))``.  Trials are evaluated in blocks of
     ``AUDIT_BLOCK_TRIALS``; :func:`~quasirep.gpt.child_generators` builds a
     block's generators at once, each with exactly the state of
-    ``default_rng(entropy)``.  A residual that overflows to NaN is reported
-    as ``inf``, and its verdict is false.
+    ``default_rng(entropy)``, and reads consecutive same-kind blocks in one
+    call, which yields the same numbers.  A residual that overflows to NaN
+    is reported as ``inf``, and its verdict is false.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -563,10 +566,11 @@ def audit_representation(
             rng = child_generators([(seed, trials)])[0]
             count = max(1, trials // 4)
             for sys_a, sys_b in itertools.product(quantum, repeat=2):
+                shape = channel_block_shape(sys_a.dim, sys_b.dim)
                 for start in range(0, count, AUDIT_BLOCK_TRIALS):
-                    # consecutive blocks from the one decomposition generator
-                    kraus = _draw_kraus([rng] * min(AUDIT_BLOCK_TRIALS, count - start),
-                                        sys_a.dim, sys_b.dim)
+                    # a chunk's consecutive blocks from the one decomposition generator
+                    normals = rng.standard_normal((min(AUDIT_BLOCK_TRIALS, count - start), *shape))
+                    kraus = random_kraus(sys_a.dim, sys_b.dim, normals)
                     residual = _decomposition_residual(
                         rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label],
                         channel_stack(kraus)[0],

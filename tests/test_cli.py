@@ -325,8 +325,9 @@ class TestCoherence:
         # the qubit frame's d**2 = 4 coordinates match classical:4, so only the kind can reject it
         (["audit", "--system", "classical:4", "--frame-file", str(GOLDEN / "qubit_frame.json")],
          None, "classical-4"),
-        (["audit", "--system", "quantum:2", "--trials", "2", "--seed", "-1"], None, ""),
-        (["kd-table", "--bases", "fourier", "--dim", "2", "--seed", "-1"], None, ""),
+        (["audit", "--system", "quantum:2", "--trials", "2", "--seed", "-1"], None, "seed"),
+        (["kd-table", "--bases", "fourier", "--dim", "2", "--seed", "-1"], None, "seed"),
+        (["coherence", "--trials", "2", "--seed", "-1"], None, "seed"),
         (["kd-table", "--bases", "hadamard", "--state"], cmat_to_json(np.ones((1, 4))), "(1, 4)"),
         (["kd-table", "--bases", "hadamard", "--frame", "--state"], cmat_to_json(np.ones((1, 4))),
          "(1, 4)"),
@@ -341,8 +342,9 @@ class TestCoherence:
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
-         "qubit-frame-on-classical-4", "audit-negative-seed", "kd-negative-seed", "kd-row-state",
-         "kd-frame-row-state", "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit",
+         "qubit-frame-on-classical-4", "audit-negative-seed", "kd-negative-seed",
+         "coherence-negative-seed", "kd-row-state", "kd-frame-row-state",
+         "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit",
          "classical-65", "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65",
          "kd-dim-9"],
 )

@@ -406,13 +406,21 @@ class TestChannel:
 
 
 @st.composite
-def kraus_stacks(draw, max_ops=8, max_dim=4):
+def kraus_stacks(draw, max_ops=8, max_dim=4, min_dim=1):
     """Complex ``(n, d_out, d_in)`` stacks, square or not."""
     n = draw(st.integers(1, max_ops))
-    d_out = draw(st.integers(1, max_dim))
-    d_in = draw(st.integers(1, max_dim))
+    d_out = draw(st.integers(min_dim, max_dim))
+    d_in = draw(st.integers(min_dim, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal((n, d_out, d_in))
+
+
+def assert_kron_sum(superop, stack):
+    """``superop`` is ``sum kron(K, conj(K))`` up to the entrywise rounding of a
+    length-n complex dot product: ``(n + 1) eps sum kron(|K|, |K|)``."""
+    reference = sum(np.kron(k, k.conj()) for k in stack)
+    scale = sum(np.kron(np.abs(k), np.abs(k)) for k in stack)
+    assert np.all(np.abs(superop - reference) <= (len(stack) + 1) * np.finfo(float).eps * scale)
 
 
 def _contraction(stack):
@@ -429,13 +437,7 @@ class TestChannelStack:
     def test_superop_equals_kron_sum(self, stack):
         ch = Channel(list(stack), validate=False)
         assert ch.kraus.shape == stack.shape
-        reference = sum(np.kron(k, k.conj()) for k in stack)
-        if ch.superop.size > 1:
-            assert np.array_equal(ch.superop, reference)  # same terms, same order
-        else:
-            # numpy sums a 1-element result pairwise once n >= 8: rounding only
-            n = len(stack)
-            assert max_abs(ch.superop - reference) <= n * np.finfo(float).eps * max_abs(reference)
+        assert_kron_sum(ch.superop, stack)
         gram = sum(k.conj().T @ k for k in stack)
         assert max_abs(ch._gram - gram) <= 1e-12 * max(1.0, max_abs(gram))
         choi = sum(np.outer(vectorize(k), vectorize(k).conj()) for k in stack)
@@ -485,8 +487,14 @@ class TestChannelStack:
         for family, superop, gram in zip(families, superops, grams):
             ch = Channel(family)
             assert np.array_equal(superop, ch.superop)  # one formula for both
-            assert np.array_equal(superop, sum(np.kron(k, k.conj()) for k in family))
+            assert_kron_sum(superop, family)
             assert max_abs(gram - ch._gram) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(kraus_stacks(max_ops=64, min_dim=8, max_dim=8))
+    def test_d8_superop_equals_kron_sum(self, stack):
+        # an 8 -> 8 Stinespring channel has 64 Kraus operators
+        assert_kron_sum(channel_stack(stack, validate=False)[0], stack)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -508,6 +508,44 @@ class TestAudit:
             audit_representation(rep, [qubit, qutrit], trials=trials, seed=0)
             assert built == ["Generator"] * (trials + 1)
 
+    @pytest.mark.parametrize("trials", [1, 4 * AUDIT_BLOCK_TRIALS + 4])
+    def test_draws_each_segment_in_one_generator_call(self, qubit, qutrit, trials, monkeypatch):
+        # per trial: one call per triple (T1 and T2), two per system (normals,
+        # then uniforms), two per pair (both channels, then w); the
+        # decomposition generator: one per pair and per chunk of at most
+        # AUDIT_BLOCK_TRIALS channels
+        bits = make_system("classical", 2)
+        rep = Representation({
+            qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
+            qutrit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(3, seed=5))),
+            bits.label: SystemSlot.classical(2),
+        })
+        calls = {}
+
+        class CountingGenerator:
+            def __init__(self, rng, entropy):
+                self.rng, self.entropy = rng, entropy
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    calls[self.entropy] = calls.get(self.entropy, 0) + 1
+                    return method(*args, **kwargs)
+                return counted
+
+        def counting_generators(entropies):
+            return [CountingGenerator(rng, tuple(e))
+                    for rng, e in zip(gpt.child_generators(entropies), entropies)]
+
+        monkeypatch.setattr(structure, "child_generators", counting_generators)
+        audit_representation(rep, [qubit, bits, qutrit], trials=trials, seed=0)
+        s = 2  # quantum systems; the classical one draws nothing
+        chunks = -(-max(1, trials // 4) // AUDIT_BLOCK_TRIALS)
+        expected = {(0, t): s**3 + 2 * s + 2 * s**2 for t in range(trials)}
+        expected[(0, trials)] = s**2 * chunks
+        assert calls == expected
+
     def test_repeated_system_is_rejected(self, qubit):
         rep, _ = kd_rep(qubit)
         assert audit_representation(rep, [qubit], trials=1).dim_check

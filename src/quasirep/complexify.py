@@ -38,6 +38,8 @@ __all__ = [
 
 # Entrywise ceiling of the unit and multiplication isomorphism checks.
 COHERENCE_ATOL = 1e-10
+# Ceiling of the naturality, associativity and unitality residuals.
+COHERENCE_RESIDUAL_ATOL = 1e-12
 # Entries of the triple tensors a (x) b (x) c that one block of trials stacks
 # (64 trials at dims 4, 4, 4, at least one): it bounds the memory of a run.
 COHERENCE_BLOCK_ENTRIES = 4096
@@ -143,16 +145,18 @@ class CoherenceReport:
 
     @property
     def all_pass(self) -> bool:
-        worst = max(self.naturality_max_residual, self.associativity_max_residual,
-                    self.unitality_max_residual)
-        return self.epsilon_iso and self.mu_iso and worst <= 1e-12
+        residuals = (self.naturality_max_residual, self.associativity_max_residual,
+                     self.unitality_max_residual)
+        # a NaN residual compares false, so it fails the gate
+        return (self.epsilon_iso and self.mu_iso
+                and all(r <= COHERENCE_RESIDUAL_ATOL for r in residuals))
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
-def _pair_residual(p: PairVector, q: PairVector) -> float:
-    return max(max_abs(p.real - q.real), max_abs(p.imag - q.imag))
+def _pair_residual(p: PairVector, q: PairVector) -> float:  # NaN-propagating
+    return float(np.maximum(max_abs(p.real - q.real), max_abs(p.imag - q.imag)))
 
 
 def _check_epsilon(rng: np.random.Generator) -> bool:
@@ -181,54 +185,50 @@ def _check_mu_iso(dim_w: int, dim_v: int) -> bool:
         # then the inverse in coordinates: both basis tensors return
         for pulled_back, image in ((embed(ej), target), (PairVector(0 * ej, ej), 1j * target)):
             fwd = pair_kron(embed(ei), pulled_back)
-            residual = max(residual, _pair_residual(fwd, PairVector(image.real, image.imag)),
-                           max_abs(pair_to_coord(fwd) - image))
+            residual = np.max([residual, _pair_residual(fwd, PairVector(image.real, image.imag)),
+                               max_abs(pair_to_coord(fwd) - image)])
     return residual <= COHERENCE_ATOL
 
 
-def _naturality(fs: list, gs: list, p: PairVector, q: PairVector) -> float:
-    """Largest residual of ``C(f (x) g) mu(p, q) == mu(C(f) p, C(g) q)``; trials
-    with the same codomain sizes ``(m, n)`` run as one stack."""
-    shapes = [(len(f), len(g)) for f, g in zip(fs, gs)]
-    worst = 0.0
-    for m, n in set(shapes):
-        rows = [t for t, s in enumerate(shapes) if s == (m, n)]
-        f, g = np.stack([fs[t] for t in rows]), np.stack([gs[t] for t in rows])
-        pt, qt = PairVector(p.real[rows], p.imag[rows]), PairVector(q.real[rows], q.imag[rows])
-        f_kron_g = _kron(f[:, :, None, :], g[:, None, :, :]).reshape(len(rows), m * n, -1)
-        via_product = apply_complexified(f_kron_g, pair_kron(pt, qt))
-        via_factors = pair_kron(apply_complexified(f, pt), apply_complexified(g, qt))
-        worst = max(worst, _pair_residual(via_product, via_factors))
-    return worst
+def _naturality(f: np.ndarray, g: np.ndarray, p: PairVector, q: PairVector) -> float:
+    """Largest residual of ``C(f (x) g) mu(p, q) == mu(C(f) p, C(g) q)`` on stacks of
+    zero-padded maps: a padded row is an exact zero on both sides."""
+    f_kron_g = _kron(f[:, :, None, :], g[:, None, :, :]).reshape(len(f), -1, p.dim * q.dim)
+    via_product = apply_complexified(f_kron_g, pair_kron(p, q))
+    via_factors = pair_kron(apply_complexified(f, p), apply_complexified(g, q))
+    return _pair_residual(via_product, via_factors)
 
 
-def _coherence_block(rng, trials: int, dim_w: int, dim_v: int, dim_z: int) -> list:
+def _codomain_rows(u: np.ndarray) -> np.ndarray:
+    """``1 + (u >= -1/3) + (u >= 1/3)``: uniform on {1, 2, 3} for ``u`` uniform on [-1, 1)."""
+    return 1 + (u >= -1 / 3) + (u >= 1 / 3)
+
+
+def _coherence_block(rng, trials: int, dim_w: int, dim_v: int, dim_z: int) -> np.ndarray:
     """Naturality, associativity and unitality residuals of ``trials`` trials.
 
-    Each trial draws ``m = integers(1, 4)``, the ``(m, dim_w)`` map ``f``,
-    ``n = integers(1, 4)``, the ``(n, dim_v)`` map ``g``, the pairs ``p, q, a,
-    b, c`` (each real then imaginary part) and the scalar ``alpha`` (likewise),
-    in that order; every entry is ``uniform(-1, 1)``.
+    One ``uniform(-1, 1)`` call draws a row per trial: ``u_m``, ``u_n``, the
+    ``(3, dim_w)`` map ``f``, the ``(3, dim_v)`` map ``g``, the pairs ``p, q,
+    a, b, c`` (each real then imaginary part) and the scalar ``alpha``
+    (likewise).  The rows of ``f`` from ``m = _codomain_rows(u_m)`` on are
+    zeroed, and those of ``g`` from ``n = _codomain_rows(u_n)`` on.
     """
-    parts = [dim_w, dim_w, dim_v, dim_v, dim_w, dim_w, dim_v, dim_v, dim_z, dim_z, 1, 1]
-    width = sum(parts)
-    fs, gs, rest = [], [], np.empty((trials, width))
-    for t in range(trials):
-        fs.append(rng.uniform(-1, 1, (rng.integers(1, 4), dim_w)))
-        n = rng.integers(1, 4)
-        draws = rng.uniform(-1, 1, n * dim_v + width)  # g, then the rest: one stream
-        gs.append(draws[:-width].reshape(n, dim_v))
-        rest[t] = draws[-width:]
-    cols = np.split(rest, np.cumsum(parts)[:-1], axis=1)
+    parts = [1, 1, 3 * dim_w, 3 * dim_v,
+             dim_w, dim_w, dim_v, dim_v, dim_w, dim_w, dim_v, dim_v, dim_z, dim_z, 1, 1]
+    u_m, u_n, f, g, *cols = np.split(rng.uniform(-1, 1, (trials, sum(parts))),
+                                     np.cumsum(parts)[:-1], axis=1)
+    f, g = f.reshape(trials, 3, dim_w), g.reshape(trials, 3, dim_v)
+    f[np.arange(3) >= _codomain_rows(u_m)] = 0.0
+    g[np.arange(3) >= _codomain_rows(u_n)] = 0.0
     p, q, a, b, c, alpha = (PairVector(*cols[k:k + 2]) for k in range(0, 12, 2))
 
     # associativity: both bracketings of a triple tensor
     associativity = _pair_residual(pair_kron(a, pair_kron(b, c)), pair_kron(pair_kron(a, b), c))
     # unitality: multiplying with an embedded scalar equals scalar action
     scaled = scalar_mul(pair_to_coord(alpha), a)
-    unitality = max(_pair_residual(pair_kron(alpha, a), scaled),
-                    _pair_residual(pair_kron(a, alpha), scaled))
-    return [_naturality(fs, gs, p, q), associativity, unitality]
+    unitality = np.maximum(_pair_residual(pair_kron(alpha, a), scaled),
+                           _pair_residual(pair_kron(a, alpha), scaled))
+    return np.array([_naturality(f, g, p, q), associativity, unitality])
 
 
 def monoidal_coherence(dim_w: int, dim_v: int, trials: int = 50, seed: int = 0,
@@ -243,8 +243,11 @@ def monoidal_coherence(dim_w: int, dim_v: int, trials: int = 50, seed: int = 0,
       multiplying after ``C(f) (x) C(g)``,
     * the associativity square and both unitality triangles.
 
-    All residuals are entrywise max-norm on pair encodings.  Trials run in
-    blocks sized by ``COHERENCE_BLOCK_ENTRIES``, so memory does not grow with ``trials``.
+    All residuals are entrywise max-norm on pair encodings; a NaN one reads
+    ``inf``.  After the epsilon check, each trial reads one fixed-width row of
+    the generator's stream (:func:`_coherence_block`).  Blocks of trials, sized
+    by ``COHERENCE_BLOCK_ENTRIES``, are slices of that stream: the report does
+    not depend on the block size, and memory does not grow with ``trials``.
     """
     if dim_w < 1 or dim_v < 1 or dim_z < 1:
         raise DimensionError("dimensions must be >= 1")
@@ -254,9 +257,10 @@ def monoidal_coherence(dim_w: int, dim_v: int, trials: int = 50, seed: int = 0,
 
     epsilon_iso, mu_iso = _check_epsilon(rng), _check_mu_iso(dim_w, dim_v)
     size = max(1, COHERENCE_BLOCK_ENTRIES // (dim_w * dim_v * dim_z))  # trials per block
-    worst = [0.0, 0.0, 0.0]
+    worst = np.zeros(3)
     for start in range(0, trials, size):
         block = _coherence_block(rng, min(size, trials - start), dim_w, dim_v, dim_z)
-        worst = [max(w, r) for w, r in zip(worst, block)]
+        worst = np.maximum(worst, block)
     # naturality, associativity and unitality, in the report's field order
+    worst = np.nan_to_num(worst, nan=np.inf, posinf=np.inf).tolist()
     return CoherenceReport(bool(epsilon_iso), bool(mu_iso), *worst, seed=seed)

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from quasirep.cli import EXIT_OK, main
-from quasirep.complexify import complexify_map, embed, monoidal_coherence, pair_to_coord
+from quasirep.complexify import (
+    COHERENCE_RESIDUAL_ATOL,
+    complexify_map,
+    embed,
+    monoidal_coherence,
+    pair_to_coord,
+)
 from quasirep.frames import (
     Frame,
     canonical_dual,
@@ -182,6 +188,8 @@ def test_criterion_07_complexification_coherence():
             rep.unitality_max_residual,
         )
     assert worst <= 1e-12, f"coherence residual {worst:.3e}"
+    # the CLI's coherence gate is this criterion's tolerance
+    assert COHERENCE_RESIDUAL_ATOL == 1e-12
 
     # span preservation: embedded spanning families keep full complex rank
     rng = np.random.default_rng(107)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep.cli import EXIT_CHECK_FAILED, EXIT_CONSTRUCTION, EXIT_OK, main
-from quasirep.complexify import COHERENCE_BLOCK_ENTRIES
+from quasirep.complexify import COHERENCE_RESIDUAL_ATOL
 from quasirep.frames import canonical_dual, frame_to_json, random_frame
 from quasirep.gpt import MAX_QUANTUM_DIM
 from quasirep.linalg import cmat_to_json
@@ -244,7 +244,7 @@ class TestGoldenReports:
     linearity and decomposition residuals; and the factored tomography (the identity
     resolution and the state coordinates as products of small matrices, with
     no Kronecker design), which also sets those of the discard residual.  The
-    coherence reports pin the per-trial draw order of the coherence checks.
+    coherence reports pin the row that each coherence trial reads from the one stream.
     They were written on Python 3.11 with numpy 2.4 and OpenBLAS; a different
     BLAS or LAPACK build may round residuals differently.
     """
@@ -272,9 +272,8 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "dims, trials, seed, golden",
         [
-            # two full blocks of 64 trials and a partial one: pins the per-trial draw order
-            ("4,4,4", 2 * (COHERENCE_BLOCK_ENTRIES // 64) + 5, "7",
-             "coherence_444_133.report.json"),
+            # two full blocks of 64 trials and a partial one: pins the per-trial row layout
+            ("4,4,4", 133, "7", "coherence_444_133.report.json"),
             ("1,1,1", 5, "3", "coherence_111_5.report.json"),
         ],
         ids=["444-three-blocks", "111-one-partial-block"],
@@ -297,7 +296,7 @@ class TestCoherence:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["epsilon_iso"] and report["mu_iso"]
-        assert report["naturality_max_residual"] <= 1e-12
+        assert report["naturality_max_residual"] <= COHERENCE_RESIDUAL_ATOL
 
     def test_deterministic(self, tmp_path):
         blobs = []
@@ -424,3 +423,39 @@ def test_fuzzed_config_values_exit_2(tmp_path_factory, target, value):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert main([command, "--config", str(path)]) == EXIT_CONSTRUCTION
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _coherence_value(number):
+    """A ``coherence`` config value: ``number`` or any other JSON type, NaN included."""
+    scalar = st.one_of(st.none(), st.booleans(), number, number.map(str),
+                       st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                       st.text(alphabet="ab-., e", max_size=3))
+    return st.one_of(
+        scalar,
+        st.lists(scalar, max_size=4),
+        st.lists(number, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    )
+
+
+# every number is capped so that an accepted config runs at most 50 trials on dims of at most 6
+_COHERENCE_CONFIG = st.fixed_dictionaries({}, optional={
+    "dims": _coherence_value(st.integers(-2, 6) | st.floats(-2, 6) | st.just(65)),
+    "trials": _coherence_value(st.integers(-3, 50) | st.floats(-3, 50)),
+    "seed": _coherence_value(st.integers(-3, 2**70) | st.floats(-3, 1e30)),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COHERENCE_CONFIG)
+def test_fuzzed_coherence_config_exits_0_or_2(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["coherence", "--config", str(path)])
+    assert code in (EXIT_OK, EXIT_CONSTRUCTION)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

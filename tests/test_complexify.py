@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from quasirep import complexify
 from quasirep.cli import EXIT_CHECK_FAILED, main
 from quasirep.complexify import (
     COHERENCE_BLOCK_ENTRIES,
+    COHERENCE_RESIDUAL_ATOL,
     PairVector,
     complexify_map,
     embed,
@@ -118,6 +120,13 @@ def _swapped_conjugated(pr, pi, qr, qi):
     return _outer(qr, pr) + _outer(qi, pi), _outer(qi, pr) - _outer(qr, pi)
 
 
+def _nan_imag(pr, pi, qr, qi):
+    # the right real part and a NaN imaginary part: a maximum that drops NaN
+    # would read every check as passed
+    re = _outer(pr, qr) - _outer(pi, qi)
+    return re, np.full_like(re, np.nan)
+
+
 class TestCoherence:
     def test_dims_one_is_complex_multiplication(self, rng):
         for _ in range(10):
@@ -131,12 +140,12 @@ class TestCoherence:
     def test_report_two_three(self):
         report = monoidal_coherence(2, 3, trials=50, seed=11)
         assert report.epsilon_iso and report.mu_iso
-        assert report.naturality_max_residual <= 1e-12
+        assert report.naturality_max_residual <= COHERENCE_RESIDUAL_ATOL
 
     def test_report_associativity_unitality(self):
         report = monoidal_coherence(2, 2, trials=50, seed=7, dim_z=2)
-        assert report.associativity_max_residual <= 1e-12
-        assert report.unitality_max_residual <= 1e-12
+        assert report.associativity_max_residual <= COHERENCE_RESIDUAL_ATOL
+        assert report.unitality_max_residual <= COHERENCE_RESIDUAL_ATOL
 
     def test_report_json_shape(self):
         report = monoidal_coherence(2, 2, trials=5, seed=3)
@@ -162,7 +171,8 @@ class TestCoherence:
         monkeypatch.setattr(complexify, "scalar_mul", wrong_sign)
         assert not monoidal_coherence(2, 2, trials=1, seed=5).epsilon_iso
         # the same defect reaches the batched unitality check
-        assert monoidal_coherence(2, 3, trials=5, seed=5).unitality_max_residual > 1e-12
+        assert (monoidal_coherence(2, 3, trials=5, seed=5).unitality_max_residual
+                > COHERENCE_RESIDUAL_ATOL)
 
     @pytest.mark.parametrize(
         "mutant, failing",
@@ -171,8 +181,10 @@ class TestCoherence:
             (_swapped, {"mu", "naturality"}),
             (_conjugated_left, {"associativity", "unitality"}),
             (_swapped_conjugated, {"mu", "naturality", "associativity", "unitality"}),
+            (_nan_imag, {"mu", "naturality", "associativity", "unitality"}),
         ],
-        ids=["imag-imag-sign", "swapped-factors", "conjugated-left", "swapped-conjugated"],
+        ids=["imag-imag-sign", "swapped-factors", "conjugated-left", "swapped-conjugated",
+             "nan-imag"],
     )
     def test_batched_checks_catch_a_wrong_product(self, monkeypatch, tmp_path, mutant, failing):
         monkeypatch.setattr(complexify, "pair_kron",
@@ -183,10 +195,33 @@ class TestCoherence:
         assert report.mu_iso == ("mu" not in failing)
         for check in ("naturality", "associativity", "unitality"):
             residual = getattr(report, f"{check}_max_residual")
-            assert (residual > 1e-12) == (check in failing), (check, residual)
+            assert (residual > COHERENCE_RESIDUAL_ATOL) == (check in failing), (check, residual)
         assert not report.all_pass
         argv = ["coherence", "--dims", "2,3,2", "--trials", "5", "--out", str(tmp_path / "c.json")]
         assert main(argv) == EXIT_CHECK_FAILED
+
+    def test_codomain_rows_are_exact_at_the_cut_points(self):
+        cuts = np.array([-1.0, np.nextafter(-1 / 3, -np.inf), -1 / 3,
+                         np.nextafter(1 / 3, -np.inf), 1 / 3, np.nextafter(1.0, -np.inf)])
+        assert complexify._codomain_rows(cuts).tolist() == [1, 1, 2, 2, 3, 3]
+
+    def test_a_long_run_hits_every_codomain_shape(self, monkeypatch):
+        shapes = set()
+        naturality = complexify._naturality
+
+        def spy(f, g, p, q):
+            # a map's rows are nonzero draws up to its codomain size, exact zeros after
+            sizes = []
+            for maps in (f, g):
+                kept = np.any(maps != 0, axis=-1)
+                sizes.append(kept.sum(axis=1))
+                assert np.array_equal(kept, np.arange(3) < sizes[-1][:, None])
+            shapes.update(zip(sizes[0].tolist(), sizes[1].tolist()))
+            return naturality(f, g, p, q)
+
+        monkeypatch.setattr(complexify, "_naturality", spy)
+        assert monoidal_coherence(4, 4, trials=2000, seed=0, dim_z=4).all_pass
+        assert shapes == {(m, n) for m in (1, 2, 3) for n in (1, 2, 3)}
 
     def test_trials_below_one_rejected(self):
         for trials in (0, -5):
@@ -236,6 +271,21 @@ def test_stacked_pair_kron_matches_kron_row_by_row(p_parts, q_parts):
     # a single row gives the same bits as its row of the stack
     first = pair_kron(PairVector(p.real[0], p.imag[0]), PairVector(q.real[0], q.imag[0]))
     assert np.array_equal(first.real, re[0]) and np.array_equal(first.imag, im[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       st.integers(1, 300), st.integers(0, 2**32))
+def test_reports_do_not_depend_on_the_block_budget(dims, trials, seed):
+    # each block is a slice of one stream of trial rows, so a report is the same
+    # whether every trial is its own block or all of them share one
+    reports = set()
+    for entries in (1, 12, 4096, 65536):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexify, "COHERENCE_BLOCK_ENTRIES", entries)
+            report = monoidal_coherence(dims[0], dims[1], trials=trials, seed=seed, dim_z=dims[2])
+        reports.add(json.dumps(report.to_json(), sort_keys=True))
+    assert len(reports) == 1
 
 
 class TestSpanPreservation:

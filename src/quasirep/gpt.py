@@ -21,7 +21,6 @@ the minimal-norm least-squares coefficients of a target ``M`` factor as
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "random_channel",
     "random_kraus",
     "channel_block_shape",
-    "child_generators",
     "channel_to_process",
     "process_matrices",
     "random_density",
@@ -275,39 +273,6 @@ def random_kraus(d_in: int, d_out: int, normals) -> np.ndarray:
     isometries = haar_isometries(normals)
     # Kraus operator e takes the isometry rows e, e + env, e + 2 env, ...
     return isometries.reshape(*normals.shape[:-3], d_out, env, d_in).swapaxes(-3, -2)
-
-
-# SeedSequence.generate_state, word i: xor INIT_B * MULT_B**i, times INIT_B * MULT_B**(i + 1)
-_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)], np.uint32)
-
-
-@functools.cache
-def _pcg_state_type() -> type:
-    """An ``ISeedSequence`` handing ``PCG64`` a precomputed ``generate_state(4, uint64)``
-    row; built on first use, as importing numpy.random takes about 14 ms."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PcgState(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return PcgState
-
-
-def child_generators(entropies) -> list[np.random.Generator]:
-    """One generator per entropy, each with exactly the state of ``default_rng(entropy)``.
-
-    ``SeedSequence`` still coerces, mixes and checks each entropy; only its
-    ``generate_state`` hash runs once for the batch, as ``uint32`` array arithmetic.
-    """
-    pools = np.array([np.random.SeedSequence(e).pool for e in entropies], dtype=np.uint32)
-    words = (np.tile(pools.reshape(-1, 4), 2) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
-    words ^= words >> 16
-    rows = words.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(state)) for state in map(_pcg_state_type(), rows)]
 
 
 def channel_to_process(ch: Channel, source: GptSystem, target: GptSystem) -> GptProcess:

@@ -36,8 +36,7 @@ from .errors import (
 )
 from .frames import Channel, DualPair, Frame, channel_stack
 from .gpt import (
-    GptSystem, channel_block_shape, child_generators, density_stack, effect_stack,
-    process_matrices, random_kraus,
+    GptSystem, channel_block_shape, density_stack, effect_stack, process_matrices, random_kraus,
 )
 from .linalg import as_cmat, max_abs, rank_range
 
@@ -422,35 +421,37 @@ def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray) -> f
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
-def _draw(gens: list, shapes: list, uniform: bool = False) -> list[np.ndarray]:
-    """Consecutive blocks of ``shapes``, each as a ``(trials, *shape)`` array, in one
-    call to each trial's generator: standard normals, or with ``uniform`` draws
-    on ``[0, 1)`` (the values of ``uniform(0, 1)``)."""
+def _rows(rng, count: int, shapes: list, uniform: bool = False) -> list[np.ndarray]:
+    """The next ``count`` rows of a role stream, in one call to its generator.
+
+    A row holds consecutive blocks of ``shapes``; each block comes back as a
+    ``(count, *shape)`` array.  Rows are standard normals, or with ``uniform``
+    draws on ``[0, 1)`` (the values of ``uniform(0, 1)``).
+    """
     sizes = [math.prod(shape) for shape in shapes]
-    out = np.empty((len(gens), sum(sizes)))
-    for t, rng in enumerate(gens):
-        (rng.random if uniform else rng.standard_normal)(out=out[t])
+    out = (rng.random if uniform else rng.standard_normal)((count, sum(sizes)))
     parts = np.split(out, np.cumsum(sizes)[:-1], axis=1)
-    return [part.reshape(len(gens), *shape) for part, shape in zip(parts, shapes)]
+    return [part.reshape(count, *shape) for part, shape in zip(parts, shapes)]
 
 
 def _audit_block(
-    rep: Representation, quantum: list[GptSystem], gens: list
+    rep: Representation, quantum: list[GptSystem], roles: list, count: int
 ) -> tuple[float, float, float]:
     """Semi-functoriality, adequacy and linearity residuals over a block of trials.
 
-    ``gens`` holds one generator per trial of the block.  Samples are drawn
-    in the order of the sampling contract (see :func:`audit_representation`),
-    one call to every generator per run of same-kind draws (a triple's ``T1``
-    and ``T2``, a system's state and effect normals, a pair's two channels).
-    A channel role is built for the whole block as one stack (a pair's two
-    channels as one ``(B, 2, ...)`` stack), and each residual is taken over
-    stacked products; only one triple's or pair's stacks are alive at a
-    time.  Residuals fold with a NaN-propagating maximum.
+    ``roles`` holds the role streams in contract order (see
+    :func:`audit_representation`); the block reads the next ``count`` rows
+    of each trial role, one generator call per role.  A channel role is
+    built for the whole block as one stack (a pair's two channels as one
+    ``(B, 2, ...)`` stack), and each residual is taken over stacked
+    products; only one triple's or pair's stacks are alive at a time.
+    Residuals fold with a NaN-propagating maximum.
     """
+    roles = iter(roles)
     semif = adequacy = linearity = 0.0
     for a, b, c in itertools.product(quantum, repeat=3):
-        n1, n2 = _draw(gens, [channel_block_shape(a.dim, b.dim), channel_block_shape(b.dim, c.dim)])
+        shapes = [channel_block_shape(a.dim, b.dim), channel_block_shape(b.dim, c.dim)]
+        n1, n2 = _rows(next(roles), count, shapes)
         s1 = channel_stack(random_kraus(a.dim, b.dim, n1))[0]
         s2 = channel_stack(random_kraus(b.dim, c.dim, n2))[0]
         whole = rep.apply(a.label, c.label, s2 @ s1)
@@ -458,9 +459,9 @@ def _audit_block(
         semif = np.maximum(semif, max_abs(whole - product))
 
     for sys in quantum:
-        rho_normals, eff_normals = _draw(gens, [(2, sys.dim, sys.dim)] * 2)
+        rho_normals, eff_normals = _rows(next(roles), count, [(2, sys.dim, sys.dim)] * 2)
         rho = density_stack(rho_normals)
-        eff = effect_stack(eff_normals, _draw(gens, [(sys.dim,)], uniform=True)[0])
+        eff = effect_stack(eff_normals, _rows(next(roles), count, [(sys.dim,)], uniform=True)[0])
         mu = rep.represent_state(sys.label, rho)
         xi = rep.represent_effect(sys.label, eff)
         gap = (xi[:, None, :] @ mu[:, :, None])[:, 0, 0] - np.trace(eff @ rho, axis1=1, axis2=2)
@@ -469,14 +470,14 @@ def _audit_block(
 
     for a, b in itertools.product(quantum, repeat=2):
         both = (2, *channel_block_shape(a.dim, b.dim))
-        kraus = random_kraus(a.dim, b.dim, _draw(gens, [both])[0])  # (B, 2, n, d_out, d_in)
-        w = _draw(gens, [(1, 1)], uniform=True)[0]
+        kraus = random_kraus(a.dim, b.dim, _rows(next(roles), count, [both])[0])
+        w = _rows(next(roles), count, [(1, 1)], uniform=True)[0]
         superops = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
         gamma = rep.apply(a.label, b.label, superops)
         g1, g2 = gamma[0::2], gamma[1::2]
         # the mixture's Kraus family: sqrt(w) K1, then sqrt(1 - w) K2
         scales = np.sqrt(np.concatenate([w, 1 - w], axis=1))[..., None, None]
-        mixture = (scales * kraus).reshape(len(gens), -1, b.dim, a.dim)
+        mixture = (scales * kraus).reshape(count, -1, b.dim, a.dim)
         mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
         linearity = np.maximum(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
     return semif, adequacy, linearity
@@ -500,26 +501,30 @@ def audit_representation(
     Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum.
 
     Sampling contract (what makes a report a function of ``seed`` and
-    ``trials`` alone, however the work is batched): trial ``t`` draws
-    everything from its own generator ``default_rng((seed, t))``, in this
-    order:
+    ``trials`` alone, however the work is batched): every run of same-kind
+    draws is a *role* with a stream of its own.  With ``S`` quantum systems
+    the roles are, in this order:
 
     1. for each triple ``(a, b, c)`` of quantum systems, in nested order,
        the normal blocks of ``T1: a -> b`` and ``T2: b -> c``;
-    2. for each quantum system, the state (a ``(2, d, d)`` normal block) and
-       then the effect (a ``(2, d, d)`` normal block, then ``d`` uniforms);
-    3. for each pair ``(a, b)``, the normal blocks of the two channels and
-       the weight ``w``.
+    2. for each quantum system, the state and effect normals (two ``(2, d,
+       d)`` blocks), then the effect weights (``d`` uniforms);
+    3. for each pair ``(a, b)``, the normal blocks of the two channels, then
+       the weight ``w`` (one uniform);
+    4. for each pair ``(a, b)``, the decomposition channels.
 
-    A channel ``d_in -> d_out`` is built by :func:`~quasirep.gpt.random_kraus`
-    from one ``(2, d_out**2 * d_in, d_in)`` normal block.  The decomposition
-    check draws, per pair, ``max(1, trials // 4)`` such blocks from
-    ``default_rng((seed, trials))``.  Trials are evaluated in blocks of
-    ``AUDIT_BLOCK_TRIALS``; :func:`~quasirep.gpt.child_generators` builds a
-    block's generators at once, each with exactly the state of
-    ``default_rng(entropy)``, and reads consecutive same-kind blocks in one
-    call, which yields the same numbers.  A residual that overflows to NaN
-    is reported as ``inf``, and its verdict is false.
+    Role ``k`` reads ``default_rng(SeedSequence(seed).spawn(n)[k])``, where
+    ``n = S**3 + 2 S + 3 S**2`` whatever ``trials`` is.  Trial ``t`` takes
+    row ``t`` of each trial role (items 1-3), and the decomposition check
+    takes rows ``0 .. max(1, trials // 4) - 1`` of each pair's stream, one
+    channel per row.  A channel ``d_in -> d_out`` is built by
+    :func:`~quasirep.gpt.random_kraus` from one ``(2, d_out**2 * d_in,
+    d_in)`` normal block.  Trial ``t`` is regenerated by drawing ``t`` rows
+    from each role's generator and discarding them; the next row is the
+    trial's.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``, a
+    block being one call per role; numpy fills rows in order and keeps no
+    state between calls, so the block size changes no number.  A residual
+    that overflows to NaN is reported as ``inf``, and its verdict is false.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -535,13 +540,17 @@ def audit_representation(
                 f"the system has {sys.real_dim}"
             )
     quantum = [s for s in systems if s.is_quantum]
+    pairs = list(itertools.product(quantum, repeat=2))
+    # one generator per role, in contract order; the decomposition's come last
+    n_trial_roles = len(quantum) ** 3 + 2 * len(quantum) + 2 * len(pairs)
+    roles = [np.random.default_rng(child)
+             for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
 
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = np.zeros(3)
         for start in range(0, trials if quantum else 0, AUDIT_BLOCK_TRIALS):
-            block = range(start, min(start + AUDIT_BLOCK_TRIALS, trials))
-            gens = child_generators([(seed, t) for t in block])
-            residuals = np.maximum(residuals, _audit_block(rep, quantum, gens))
+            count = min(AUDIT_BLOCK_TRIALS, trials - start)
+            residuals = np.maximum(residuals, _audit_block(rep, quantum, roles, count))
 
         chis = {s.label: extract_chi(rep, s) for s in systems}
         discard = np.max([_discard_residual(rep, s, chis[s.label]) for s in systems], initial=0.0)
@@ -563,13 +572,11 @@ def audit_representation(
         if any(s.label not in phis for s in quantum):
             decomposition = float("inf")
         else:
-            rng = child_generators([(seed, trials)])[0]
             count = max(1, trials // 4)
-            for sys_a, sys_b in itertools.product(quantum, repeat=2):
+            for (sys_a, sys_b), rng in zip(pairs, roles[n_trial_roles:]):
                 shape = channel_block_shape(sys_a.dim, sys_b.dim)
                 for start in range(0, count, AUDIT_BLOCK_TRIALS):
-                    # a chunk's consecutive blocks from the one decomposition generator
-                    normals = rng.standard_normal((min(AUDIT_BLOCK_TRIALS, count - start), *shape))
+                    normals = _rows(rng, min(AUDIT_BLOCK_TRIALS, count - start), [shape])[0]
                     kraus = random_kraus(sys_a.dim, sys_b.dim, normals)
                     residual = _decomposition_residual(
                         rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label],

@@ -16,7 +16,6 @@ from quasirep.complexify import COHERENCE_RESIDUAL_ATOL
 from quasirep.frames import canonical_dual, frame_to_json, random_frame
 from quasirep.gpt import MAX_QUANTUM_DIM
 from quasirep.linalg import cmat_to_json
-from quasirep.structure import AUDIT_BLOCK_TRIALS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,9 +237,9 @@ class TestGoldenReports:
     """Audit and coherence reports pinned byte for byte: batching must not change one digit.
 
     The audit reports under ``tests/golden`` pin the sampling contract, down
-    to the order in which each trial's generator yields its channels'
-    ``(2, d_out**2 * d_in, d_in)`` normal blocks, states, effects and
-    weights, which sets the last digits of the semi-functoriality, adequacy,
+    to which role stream, and which row of it, yields each channel's
+    ``(2, d_out**2 * d_in, d_in)`` normal block, state, effect and weight,
+    which sets the last digits of the semi-functoriality, adequacy,
     linearity and decomposition residuals; and the factored tomography (the identity
     resolution and the state coordinates as products of small matrices, with
     no Kronecker design), which also sets those of the discard residual.  The
@@ -253,7 +252,7 @@ class TestGoldenReports:
         out = tmp_path / "report.json"
         code = main([
             "audit", "--system", "quantum:2", "--frame-file", str(GOLDEN / "qubit_frame.json"),
-            "--trials", str(AUDIT_BLOCK_TRIALS + 3), "--seed", "1", "--out", str(out),
+            "--trials", "67", "--seed", "1", "--out", str(out),
         ])
         assert code == EXIT_OK
         assert out.read_bytes() == (GOLDEN / "qubit_frame_67.report.json").read_bytes()

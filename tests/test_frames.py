@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from quasirep.errors import DimensionError, ReconstructionError, SingularFrameError
 from quasirep.frames import (
     RANDOM_FRAME_MAX_DRAWS,
+    TRACE_EXCESS_ATOL,
     Channel,
     DualPair,
     Frame,
@@ -506,6 +508,57 @@ class TestChannelStack:
         with pytest.raises(ValueError, match="increases trace"):
             channel_stack(families)
         channel_stack(families, validate=False)
+
+    def test_gram_the_screen_cannot_clear_goes_to_eigvalsh(self, monkeypatch):
+        # gram - I = [[0, 1e-5], [1e-5, -0.5]]: its Gershgorin bound is 1e-5,
+        # its largest eigenvalue about 2e-10, so the family passes
+        values, vectors = np.linalg.eigh(np.array([[1, 1e-5], [1e-5, 0.5]]))
+        root = (vectors * np.sqrt(values)) @ vectors.T  # Hermitian: root† root is the gram
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        channel_stack(root[None, None])
+        assert shapes == [(1, 2, 2)]
+        channel_stack(np.array([random_channel(2, 3, seed=s).kraus for s in range(4)]))
+        assert len(shapes) == 1  # trace preserving: the screen clears the stack
+
+    @pytest.mark.parametrize("scale", [1.001, np.sqrt(1.5)])
+    def test_trace_increasing_stack_reports_its_excess(self, scale):
+        families = np.array([random_channel(2, 2, seed=s).kraus for s in range(3)])
+        families[1] *= scale
+        grams = channel_stack(families, validate=False)[1]
+        excess = np.linalg.eigvalsh(grams - np.eye(2)).max()
+        message = f"channel increases trace by up to {excess:.3e}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            channel_stack(families)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+           st.floats(0.5, 1.5), st.integers(0, 2**32 - 1))
+    def test_screened_verdict_equals_eigvalsh(self, count, d_out, d_in, contract, scale, seed):
+        # trace-preserving or contracting families, scaled up or down
+        rng = np.random.default_rng(seed)
+        if contract:
+            families = np.array([
+                _contraction(random_complex_matrix(rng, 2 * d_out, d_in).reshape(2, d_out, d_in))
+                for _ in range(count)
+            ])
+        else:
+            families = np.array([random_channel(d_in, d_out, seed=seed + i).kraus
+                                 for i in range(count)])
+        families[rng.integers(count)] *= scale
+        grams = channel_stack(families, validate=False)[1]
+        excess = np.linalg.eigvalsh(grams - np.eye(d_in)).max()
+        if excess > TRACE_EXCESS_ATOL:
+            with pytest.raises(ValueError, match=re.escape(f"{excess:.3e}")):
+                channel_stack(families)
+        else:
+            channel_stack(families)
 
     def test_stack_is_a_private_copy(self):
         k = np.eye(2, dtype=complex)[None].copy()

@@ -11,7 +11,6 @@ from quasirep.gpt import (
     GptProcess,
     channel_block_shape,
     channel_to_process,
-    child_generators,
     density_stack,
     effect_stack,
     identity_resolution,
@@ -250,31 +249,6 @@ class TestStackedDraws:
             v = _haar_isometry_reference(d_out * env, d_in, np.random.default_rng(seed))
             reference = v.reshape(d_out, env, d_in).transpose(1, 0, 2)
             assert np.array_equal(kraus, reference)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.one_of(
-        st.integers(0, 2**200 - 1),
-        st.integers(0, 2**63 - 1).map(np.int64),
-        st.tuples(st.integers(0, 2**70)),
-        st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)),
-        st.tuples(st.integers(0, 2**70), st.integers(0, 2**70), st.integers(0, 2**70)),
-    ), max_size=6))
-    def test_child_generators_equal_default_rng(self, entropies):
-        generators = child_generators(entropies)
-        assert len(generators) == len(entropies)
-        for entropy, rng in zip(entropies, generators):
-            ref = np.random.default_rng(entropy)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
-            assert rng.integers(2**31) == ref.integers(2**31)
-
-    def test_child_generators_reject_what_default_rng_rejects(self):
-        assert child_generators([]) == []
-        for bad, error in ((-1, ValueError), ((3, -1), ValueError), (1.5, TypeError)):
-            with pytest.raises(error):
-                np.random.default_rng(bad)
-            with pytest.raises(error):
-                child_generators([0, bad])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**63 - 1))

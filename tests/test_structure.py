@@ -1,8 +1,12 @@
+import functools
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep import gpt, structure
 from quasirep.errors import (
@@ -19,7 +23,7 @@ from quasirep.frames import (
     canonical_dual,
     random_frame,
 )
-from quasirep.gpt import make_system, random_channel, random_density, random_effect
+from quasirep.gpt import effect_stack, make_system, random_channel, random_density
 from quasirep.kirkwood_dirac import kd_distribution, kd_frame_pair, preset_bases, random_faithful_bases
 from quasirep.linalg import max_abs, rank_range, vectorize
 from quasirep.structure import (
@@ -61,6 +65,83 @@ def overcomplete_rep(sys, rng, extra=1):
     frame = random_frame(sys.dim, sys.dim**2 + extra, rng)
     pair = canonical_dual(frame)
     return build_representation({sys.label: pair}), pair
+
+
+@functools.cache
+def _qubit_and_qutrit():
+    systems = [make_system("quantum", 2), make_system("quantum", 3)]
+    rep = build_representation({
+        systems[0].label: kd_frame_pair(random_faithful_bases(2, seed=4)),
+        systems[1].label: kd_frame_pair(random_faithful_bases(3, seed=5)),
+    })
+    return rep, systems
+
+
+def _reference_report(rep, systems, trials, seed):
+    """The audit's sampling contract rebuilt with no batching: trial by trial,
+    each item drawn by its own call to its role's generator."""
+    quantum = [s for s in systems if s.is_quantum]
+    triples = list(itertools.product(quantum, repeat=3))
+    pairs = list(itertools.product(quantum, repeat=2))
+    n_trial_roles = len(triples) + 2 * len(quantum) + 2 * len(pairs)
+    roles = [np.random.default_rng(child)
+             for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
+
+    def draw_channel(rng, a, b):
+        normals = rng.standard_normal(gpt.channel_block_shape(a.dim, b.dim))
+        return Channel(gpt.random_kraus(a.dim, b.dim, normals))
+
+    semif, adequacy, linearity = [0.0], [0.0], [0.0]
+    for _ in range(trials):
+        role = iter(roles)
+        for a, b, c in triples:
+            rng = next(role)
+            ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, b, c)
+            whole = rep.apply(a.label, c.label, ch2.superop @ ch1.superop)
+            product = rep.apply(b.label, c.label, ch2) @ rep.apply(a.label, b.label, ch1)
+            semif.append(max_abs(whole - product))
+        for sys in quantum:
+            normals, weights = next(role), next(role)
+            rho = random_density(sys.dim, normals)
+            eff = effect_stack(normals.standard_normal((2, sys.dim, sys.dim)),
+                               weights.uniform(0, 1, sys.dim))
+            mu = rep.represent_state(sys.label, rho)
+            xi = rep.represent_effect(sys.label, eff)
+            adequacy.append(abs((xi[None, :] @ mu[:, None])[0, 0] - np.trace(eff @ rho)))
+        for a, b in pairs:
+            rng, weight = next(role), next(role)
+            ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, a, b)
+            w = weight.uniform(0, 1)
+            mixed = Channel([*(np.sqrt(w) * ch1.kraus), *(np.sqrt(1 - w) * ch2.kraus)])
+            weighted = (w * rep.apply(a.label, b.label, ch1)
+                        + (1 - w) * rep.apply(a.label, b.label, ch2))
+            linearity.append(max_abs(rep.apply(a.label, b.label, mixed) - weighted))
+
+    decomposition = [0.0] + [
+        verify_decomposition(rep, a, b, [draw_channel(rng, a, b)])
+        for (a, b), rng in zip(pairs, roles[n_trial_roles:])
+        for _ in range(max(1, trials // 4))
+    ]
+    discard = max(_discard_residual(rep, s, extract_chi(rep, s)) for s in systems)
+    return {
+        "semifunctorial": max(semif) <= structure.SEMIFUNCTORIAL_ATOL,
+        "semifunctorial_residual": max(semif),
+        "empirically_adequate": max(adequacy) <= structure.ADEQUACY_ATOL,
+        "adequacy_residual": max(adequacy),
+        "linear": max(linearity) <= structure.LINEARITY_ATOL,
+        "linearity_residual": max(linearity),
+        "discard_preserving": discard <= structure.DISCARD_ATOL,
+        "discard_residual": discard,
+        "functorial": all(
+            max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size))
+            <= structure.IDEMPOTENCY_ATOL
+            for s in systems
+        ),
+        "decomposition_residual": max(decomposition),
+        "dim_check": True,
+        "seed": seed,
+        "trials": trials,
+    }
 
 
 class TestBuildRepresentation:
@@ -403,91 +484,31 @@ class TestAudit:
         assert report.all_core_pass and report.functorial
 
     @pytest.mark.parametrize("seed", [2**32, 2**100])
-    def test_large_seeds_match_default_rng(self, qubit, qutrit, seed, monkeypatch):
-        # (seed, t) spans 3 and 5 entropy words; 5 overflows SeedSequence's 4-word pool
-        rep = build_representation({
-            qubit.label: kd_frame_pair(random_faithful_bases(2, seed=4)),
-            qutrit.label: kd_frame_pair(random_faithful_bases(3, seed=5)),
+    def test_large_seeds_match_default_rng(self, qubit, qutrit, seed):
+        # the seed alone is the root entropy: 2 and 4 words of SeedSequence's pool
+        bits = make_system("classical", 2)
+        rep = Representation({
+            qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
+            bits.label: SystemSlot.classical(2),
+            qutrit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(3, seed=5))),
         })
-        trials = AUDIT_BLOCK_TRIALS + 1
-        batched = audit_representation(rep, [qubit, qutrit], trials=trials, seed=seed)
-
-        def one_by_one(entropies):
-            return [np.random.default_rng(e) for e in entropies]
-
-        monkeypatch.setattr(gpt, "child_generators", one_by_one)
-        monkeypatch.setattr(structure, "child_generators", one_by_one)
-        reference = audit_representation(rep, [qubit, qutrit], trials=trials, seed=seed)
-        assert batched.to_json() == reference.to_json()
+        systems = [qubit, bits, qutrit]
+        report = audit_representation(rep, systems, trials=5, seed=seed)
+        assert report.to_json() == _reference_report(rep, systems, 5, seed)
 
     @pytest.mark.parametrize("seed", [0, 2**40])
     def test_equals_one_trial_at_a_time_reference(self, qubit, qutrit, seed):
-        """The sampling contract, rebuilt with no batching and no batched seeding."""
         rep = build_representation({
             qubit.label: kd_frame_pair(random_faithful_bases(2, seed=4)),
             qutrit.label: canonical_dual(random_frame(3, 11, np.random.default_rng(8))),
         })
         systems = [qubit, qutrit]
         trials = AUDIT_BLOCK_TRIALS + 1
-
-        def draw_channel(rng, a, b):
-            normals = rng.standard_normal(gpt.channel_block_shape(a.dim, b.dim))
-            return Channel(gpt.random_kraus(a.dim, b.dim, normals))
-
-        semif, adequacy, linearity = [], [], []
-        for t in range(trials):
-            rng = np.random.default_rng((seed, t))
-            for a, b, c in itertools.product(systems, repeat=3):
-                ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, b, c)
-                whole = rep.apply(a.label, c.label, ch2.superop @ ch1.superop)
-                product = rep.apply(b.label, c.label, ch2) @ rep.apply(a.label, b.label, ch1)
-                semif.append(max_abs(whole - product))
-            for sys in systems:
-                rho, eff = random_density(sys.dim, rng), random_effect(sys.dim, rng)
-                mu = rep.represent_state(sys.label, rho)
-                xi = rep.represent_effect(sys.label, eff)
-                adequacy.append(abs((xi[None, :] @ mu[:, None])[0, 0] - np.trace(eff @ rho)))
-            for a, b in itertools.product(systems, repeat=2):
-                ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, a, b)
-                w = rng.uniform(0, 1)
-                mixed = Channel([*(np.sqrt(w) * ch1.kraus), *(np.sqrt(1 - w) * ch2.kraus)])
-                weighted = (w * rep.apply(a.label, b.label, ch1)
-                            + (1 - w) * rep.apply(a.label, b.label, ch2))
-                linearity.append(max_abs(rep.apply(a.label, b.label, mixed) - weighted))
-
-        rng = np.random.default_rng((seed, trials))
-        decomposition = [
-            verify_decomposition(rep, a, b, [draw_channel(rng, a, b)])
-            for a, b in itertools.product(systems, repeat=2)
-            for _ in range(max(1, trials // 4))
-        ]
-        discard = max(_discard_residual(rep, s, extract_chi(rep, s)) for s in systems)
-        expected = {
-            "semifunctorial": max(semif) <= structure.SEMIFUNCTORIAL_ATOL,
-            "semifunctorial_residual": max(semif),
-            "empirically_adequate": max(adequacy) <= structure.ADEQUACY_ATOL,
-            "adequacy_residual": max(adequacy),
-            "linear": max(linearity) <= structure.LINEARITY_ATOL,
-            "linearity_residual": max(linearity),
-            "discard_preserving": discard <= structure.DISCARD_ATOL,
-            "discard_residual": discard,
-            "functorial": all(
-                max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size))
-                <= structure.IDEMPOTENCY_ATOL
-                for s in systems
-            ),
-            "decomposition_residual": max(decomposition),
-            "dim_check": True,
-            "seed": seed,
-            "trials": trials,
-        }
         report = audit_representation(rep, systems, trials=trials, seed=seed)
-        assert report.to_json() == expected
+        assert report.to_json() == _reference_report(rep, systems, trials, seed)
         assert report.all_core_pass
 
-    def test_builds_one_generator_per_trial_and_one_for_decomposition(
-        self, qubit, qutrit, monkeypatch
-    ):
+    def test_builds_one_generator_per_role(self, qubit, qutrit, monkeypatch):
         rep = build_representation({
             qubit.label: kd_frame_pair(random_faithful_bases(2, seed=4)),
             qutrit.label: kd_frame_pair(random_faithful_bases(3, seed=5)),
@@ -503,48 +524,71 @@ class TestAudit:
         # every Generator quasirep builds comes from one of these two names
         monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
         monkeypatch.setattr(np.random, "default_rng", counting(np.random.default_rng))
-        for trials in (1, AUDIT_BLOCK_TRIALS + 3):
+        s = 2
+        for trials in (1, AUDIT_BLOCK_TRIALS + 3, 4 * AUDIT_BLOCK_TRIALS + 4):
             built.clear()
             audit_representation(rep, [qubit, qutrit], trials=trials, seed=0)
-            assert built == ["Generator"] * (trials + 1)
+            # s**3 triples, two roles per system and per pair, one decomposition role per pair
+            assert built == ["default_rng"] * (s**3 + 2 * s + 3 * s**2)
 
     @pytest.mark.parametrize("trials", [1, 4 * AUDIT_BLOCK_TRIALS + 4])
     def test_draws_each_segment_in_one_generator_call(self, qubit, qutrit, trials, monkeypatch):
-        # per trial: one call per triple (T1 and T2), two per system (normals,
-        # then uniforms), two per pair (both channels, then w); the
-        # decomposition generator: one per pair and per chunk of at most
-        # AUDIT_BLOCK_TRIALS channels
+        # one call per trial role and per block of AUDIT_BLOCK_TRIALS trials;
+        # one per decomposition role and per chunk of at most AUDIT_BLOCK_TRIALS
+        # channels; the classical system has no role
         bits = make_system("classical", 2)
         rep = Representation({
             qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
             qutrit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(3, seed=5))),
             bits.label: SystemSlot.classical(2),
         })
-        calls = {}
+        calls = []
 
         class CountingGenerator:
-            def __init__(self, rng, entropy):
-                self.rng, self.entropy = rng, entropy
+            def __init__(self, rng, role):
+                self.rng, self.role = rng, role
 
             def __getattr__(self, name):
                 method = getattr(self.rng, name)
 
                 def counted(*args, **kwargs):
-                    calls[self.entropy] = calls.get(self.entropy, 0) + 1
+                    calls[self.role] += 1
                     return method(*args, **kwargs)
                 return counted
 
-        def counting_generators(entropies):
-            return [CountingGenerator(rng, tuple(e))
-                    for rng, e in zip(gpt.child_generators(entropies), entropies)]
+        default_rng = np.random.default_rng
 
-        monkeypatch.setattr(structure, "child_generators", counting_generators)
+        def counting_rng(seed):
+            calls.append(0)
+            return CountingGenerator(default_rng(seed), len(calls) - 1)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         audit_representation(rep, [qubit, bits, qutrit], trials=trials, seed=0)
-        s = 2  # quantum systems; the classical one draws nothing
+        s = 2
+        blocks = -(-trials // AUDIT_BLOCK_TRIALS)
         chunks = -(-max(1, trials // 4) // AUDIT_BLOCK_TRIALS)
-        expected = {(0, t): s**3 + 2 * s + 2 * s**2 for t in range(trials)}
-        expected[(0, trials)] = s**2 * chunks
-        assert calls == expected
+        assert calls == [blocks] * (s**3 + 2 * s + 2 * s**2) + [chunks] * s**2
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**64 - 1))
+    def test_block_size_changes_no_number(self, trials, seed):
+        rep, systems = _qubit_and_qutrit()
+        reports = []
+        for block in (1, 3, 64, 1000):
+            with mock.patch.object(structure, "AUDIT_BLOCK_TRIALS", block):
+                reports.append(audit_representation(rep, systems, trials, seed).to_json())
+        assert all(report == reports[0] for report in reports)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**64 - 1))
+    def test_more_trials_never_lower_a_residual(self, trials, extra, seed):
+        # a longer audit reads every row of a shorter one, and more of each stream
+        rep, systems = _qubit_and_qutrit()
+        short = audit_representation(rep, systems, trials=trials, seed=seed).to_json()
+        long = audit_representation(rep, systems, trials=trials + extra, seed=seed).to_json()
+        for key in ("semifunctorial_residual", "adequacy_residual", "linearity_residual",
+                    "decomposition_residual"):
+            assert short[key] <= long[key]
 
     def test_repeated_system_is_rejected(self, qubit):
         rep, _ = kd_rep(qubit)

@@ -7,7 +7,6 @@ from .linalg import (
     RANK_RTOL,
     cmat_from_json,
     cmat_to_json,
-    devectorize,
     max_abs,
     rank_range,
     vectorize,
@@ -24,13 +23,10 @@ from .frames import (
     DualPair,
     Frame,
     canonical_dual,
-    compose_channels,
-    depolarizing_channel,
     frame_operator,
     identity_channel,
     random_frame,
     represent_channel,
-    unitary_channel,
 )
 from .gpt import (
     GptProcess,

@@ -18,14 +18,11 @@ import numpy as np
 
 from .errors import DimensionError, ReconstructionError, SingularFrameError
 from .linalg import (
-    as_cmat,
     as_cstack,
     cmat_from_json,
     cmat_to_json,
-    devectorize,
     max_abs,
     numerical_rank,
-    vectorize,
 )
 
 __all__ = [
@@ -38,9 +35,6 @@ __all__ = [
     "represent_channel",
     "random_frame",
     "identity_channel",
-    "unitary_channel",
-    "depolarizing_channel",
-    "compose_channels",
     "frame_to_json",
     "frame_from_json",
 ]
@@ -50,10 +44,8 @@ __all__ = [
 # orders of magnitude below it).
 RECONSTRUCTION_ATOL = 1e-9
 # Validated channels may exceed trace preservation (the largest eigenvalue of
-# ``sum K†K - I``) by at most this much; trace preservation itself is
-# entrywise within TRACE_PRESERVING_ATOL.
+# ``sum K†K - I``) by at most this much.
 TRACE_EXCESS_ATOL = 1e-8
-TRACE_PRESERVING_ATOL = 1e-10
 # Ginibre families of at least d**2 elements span with probability one, so
 # running out of draws means the generator is degenerate, not unlucky.
 RANDOM_FRAME_MAX_DRAWS = 100
@@ -142,35 +134,21 @@ class DualPair:
 
 
 class Channel:
-    """A completely positive trace-nonincreasing map in Kraus form.
+    """One Kraus family ``(n, d_out, d_in)`` and its superoperator.
 
-    The Kraus operators are held as one read-only ``(n, d_out, d_in)``
-    complex array, ``kraus``, copied from the input, which is ground truth;
-    the superoperator matrix acting on row-major vectorizations and the
-    gram ``sum K†K`` are derived from it once, by :func:`channel_stack`
-    (one Choi product per family).  Any sequence of equally shaped
-    matrices, or such a stack, is accepted.
+    ``kraus`` is a read-only complex copy of the input (any sequence of
+    equally shaped matrices, or such a stack); ``superop`` is derived from
+    it once by :func:`channel_stack`, which also rejects, with
+    ``validate``, a family that increases the trace.  Every channel
+    operation acts on ``superop``: composition is its matrix product, the
+    action on an operator is ``superop @ vec(x)``.
     """
 
     def __init__(self, kraus, validate: bool = True):
-        # read-only, so the derived matrices stay in step with it
+        # read-only, so the superoperator stays in step with it
         self.kraus = as_cstack(kraus)
         _, self.d_out, self.d_in = self.kraus.shape
-        self.superop, self._gram = channel_stack(self.kraus, validate)
-
-    def choi(self) -> np.ndarray:
-        """Choi matrix ``sum_k vec(K_k) vec(K_k)†``: ``superop`` realigned back."""
-        d_out, d_in = self.d_out, self.d_in
-        return self.superop.reshape(d_out, d_out, d_in, d_in).swapaxes(1, 2).reshape(d_out * d_in, -1)
-
-    def is_trace_preserving(self) -> bool:
-        return max_abs(self._gram - np.eye(self.d_in)) <= TRACE_PRESERVING_ATOL
-
-    def apply(self, x) -> np.ndarray:
-        x = as_cmat(x, square=True)
-        if x.shape[0] != self.d_in:
-            raise DimensionError(f"operator of dim {x.shape[0]} fed to channel with d_in={self.d_in}")
-        return devectorize(self.superop @ vectorize(x), (self.d_out, self.d_out))
+        self.superop = channel_stack(self.kraus, validate)[0]
 
 
 def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -217,25 +195,6 @@ def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]
 
 def identity_channel(d: int) -> Channel:
     return Channel([np.eye(d)])
-
-
-def unitary_channel(u) -> Channel:
-    return Channel([as_cmat(u, square=True)])
-
-
-def depolarizing_channel(d: int) -> Channel:
-    """The fully depolarizing map ``X -> Tr(X) I / d``."""
-    # Kraus operator i * d + j is the matrix unit E_ij / sqrt(d)
-    return Channel(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))
-
-
-def compose_channels(second: Channel, first: Channel) -> Channel:
-    """Sequential composition ``second o first`` via Kraus products ``k2 @ k1``
-    (``k2``-major), formed as one batched product."""
-    if second.d_in != first.d_out:
-        raise DimensionError("intermediate dimensions do not match")
-    products = second.kraus[:, None] @ first.kraus[None]
-    return Channel(products.reshape(-1, second.d_out, first.d_in))
 
 
 def frame_operator(f: Frame) -> np.ndarray:
@@ -323,13 +282,15 @@ def frame_from_json(data: dict) -> Frame | DualPair:
         d = int(data["d"])
         labels = [str(x) for x in data["labels"]]
         elements = [cmat_from_json(e) for e in data["elements"]]
-    except (KeyError, TypeError) as exc:
+        dual = data.get("dual")
+        if dual is not None:
+            dual = [cmat_from_json(e) for e in dual]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed frame record: {exc}") from exc
     frame = Frame(elements, labels=labels)
     if frame.dim != d:
         raise DimensionError("declared dimension does not match elements")
-    if "dual" in data and data["dual"] is not None:
-        dual = Frame([cmat_from_json(e) for e in data["dual"]], labels=labels)
-        return DualPair(frame, dual, validate=False)
+    if dual is not None:
+        return DualPair(frame, Frame(dual, labels=labels), validate=False)
     return frame
 

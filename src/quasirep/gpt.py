@@ -53,8 +53,6 @@ MAX_QUANTUM_DIM = 8
 # Entrywise ceiling on the imaginary part of real coordinates and on the
 # residual of a prepare-and-measure decomposition.
 COORDS_ATOL = 1e-10
-# Slack of the nonnegativity and column-sum checks of a classical process.
-SUBSTOCHASTIC_ATOL = 1e-12
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -125,7 +123,6 @@ class GptSystem:
         effects: spanning effects as rows of a real matrix.
         u: deterministic-effect covector.
         t: identity-resolution coefficients.
-        state_ops: the spanning states as operators (quantum systems only).
         iso: unitary map from real to complex coordinates, defined for both
             kinds: onto vectorized operators (quantum), the identity (classical).
     """
@@ -147,8 +144,7 @@ class GptSystem:
         if kind == "quantum":
             self.real_dim = dim**2
             self.iso = basis_isomorphism(dim)
-            self.state_ops = tuple(_tomography_states(dim))
-            ops = np.array(self.state_ops)
+            ops = np.array(_tomography_states(dim))
             coords = self.iso.conj().T @ ops.reshape(len(ops), -1).T
             if max_abs(coords.imag) > COORDS_ATOL:
                 raise ValueError("tomography states are not self-adjoint")
@@ -158,7 +154,6 @@ class GptSystem:
         else:
             self.real_dim = dim
             self.iso = np.eye(dim, dtype=complex)
-            self.state_ops = None
             self.states = np.eye(dim)
             self.effects = np.eye(dim)
             self.u = np.ones(dim)
@@ -187,12 +182,6 @@ class GptProcess:
         if not np.all(np.isfinite(m)):
             raise ValueError("process entries must be finite")
         object.__setattr__(self, "matrix", m)
-
-    def is_substochastic(self) -> bool:
-        """Nonnegative entries with column sums at most one (classical kind)."""
-        m = self.matrix
-        return bool(np.all(m >= -SUBSTOCHASTIC_ATOL)
-                    and np.all(m.sum(axis=0) <= 1 + SUBSTOCHASTIC_ATOL))
 
 
 def make_system(kind: str, dim: int, seed: int = 0, label: str | None = None) -> GptSystem:

@@ -13,8 +13,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError
@@ -22,11 +20,9 @@ from .errors import DimensionError
 __all__ = [
     "RANK_RTOL",
     "as_cmat",
-    "as_cvec",
     "as_cstack",
     "max_abs",
     "vectorize",
-    "devectorize",
     "rank_range",
     "numerical_rank",
     "haar_unitary",
@@ -51,16 +47,6 @@ def as_cmat(a, *, square: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def as_cvec(v) -> np.ndarray:
-    """Coerce ``v`` to a finite 1-D complex array."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise DimensionError(f"expected a vector, got ndim={w.ndim}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector entries must be finite")
-    return w
 
 
 def as_cstack(items, *, square: bool = False) -> np.ndarray:
@@ -97,23 +83,6 @@ def max_abs(a) -> float:
 def vectorize(a) -> np.ndarray:
     """Row-major stacking of a matrix into a vector."""
     return as_cmat(a).reshape(-1).copy()
-
-
-def devectorize(v, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`.
-
-    Without an explicit ``shape`` the length must be a perfect square and a
-    square matrix is returned.
-    """
-    w = as_cvec(v)
-    if shape is None:
-        d = math.isqrt(w.size)
-        if d * d != w.size:
-            raise DimensionError(f"length {w.size} is not a perfect square")
-        shape = (d, d)
-    if shape[0] * shape[1] != w.size:
-        raise DimensionError(f"cannot reshape length {w.size} to {shape}")
-    return w.reshape(shape).copy()
 
 
 def rank_range(a) -> tuple[int, np.ndarray, np.ndarray]:
@@ -184,8 +153,11 @@ def cmat_from_json(data: dict) -> np.ndarray:
         rows, cols = int(data["rows"]), int(data["cols"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix record: {exc}") from exc
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise DimensionError("entry count does not match rows * cols")
-    return as_cmat((re + 1j * im).reshape(rows, cols))
+    # assigned, not re + 1j * im: 1j * inf warns before as_cmat can reject it
+    m = np.empty(rows * cols, dtype=complex)
+    m.real, m.imag = re, im
+    return as_cmat(m.reshape(rows, cols))

@@ -34,7 +34,7 @@ from .errors import (
     NonIdempotentError,
     SplittingMismatchError,
 )
-from .frames import Channel, DualPair, Frame, channel_stack
+from .frames import DualPair, Frame, channel_stack
 from .gpt import (
     GptSystem, channel_block_shape, density_stack, effect_stack, process_matrices, random_kraus,
 )
@@ -148,21 +148,19 @@ class Representation:
     def apply(self, system_in: str, system_out: str, process) -> np.ndarray:
         """Representation matrix ``rep_out @ M @ recon_in`` of a process.
 
-        ``M`` is the superoperator of a :class:`Channel`, a plain process
-        matrix on the coordinate spaces, or a ``(B, out, in)`` stack of them
-        (giving a stack of representation matrices); a mismatched shape
-        raises :class:`DimensionError`.
+        ``M`` is a process matrix on the coordinate spaces, such as a
+        channel superoperator from :func:`~quasirep.frames.channel_stack`,
+        or a ``(B, out, in)`` stack of them (giving a stack of
+        representation matrices); a mismatched shape raises
+        :class:`DimensionError`.
         """
         slot_in = self.slot(system_in)
         slot_out = self.slot(system_out)
-        if isinstance(process, Channel):
-            m = process.superop
-        else:
-            m = np.asarray(process, dtype=complex)
-            if m.ndim not in (2, 3):
-                raise DimensionError(f"expected a process matrix or a stack, got ndim={m.ndim}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("process entries must be finite")
+        m = np.asarray(process, dtype=complex)
+        if m.ndim not in (2, 3):
+            raise DimensionError(f"expected a process matrix or a stack, got ndim={m.ndim}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("process entries must be finite")
         if m.shape[-2:] != (slot_out.coord_dim, slot_in.coord_dim):
             raise DimensionError(
                 f"process matrix {m.shape[-2:]} does not map the coordinate spaces "

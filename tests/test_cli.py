@@ -18,6 +18,9 @@ from quasirep.gpt import MAX_QUANTUM_DIM
 from quasirep.linalg import cmat_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+QUBIT_FRAME = json.loads((GOLDEN / "qubit_frame.json").read_text())
+HADAMARD_BASES = {"basis_a": cmat_to_json(np.eye(2)),
+                  "basis_b": cmat_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))}
 
 
 @pytest.fixture
@@ -337,6 +340,26 @@ class TestCoherence:
         (["coherence", "--trials", "-5"], None, ">= 1"),
         (["coherence", "--dims", "2,65,2", "--trials", "1"], None, "64"),
         (["kd-table", "--bases", "fourier", "--dim", "9"], None, "8"),
+        # JSON admits Infinity, which int() rejects with an OverflowError
+        (["kd-table", "--bases-file"],
+         {**HADAMARD_BASES, "basis_b": {**HADAMARD_BASES["basis_b"], "rows": float("inf")}},
+         "malformed matrix"),
+        (["audit", "--trials", "2", "--bases-file"],
+         {**HADAMARD_BASES, "basis_a": {**HADAMARD_BASES["basis_a"], "cols": float("inf")}},
+         "malformed matrix"),
+        (["kd-table", "--bases", "hadamard", "--state"],
+         {**cmat_to_json(np.eye(2) / 2), "rows": float("inf")}, "malformed matrix"),
+        (["audit", "--trials", "2", "--frame-file"],
+         {**QUBIT_FRAME, "elements": [{**QUBIT_FRAME["elements"][0], "rows": float("inf")},
+                                      *QUBIT_FRAME["elements"][1:]]}, "malformed matrix"),
+        (["audit", "--trials", "2", "--frame-file"], {**QUBIT_FRAME, "d": float("inf")},
+         "malformed frame"),
+        (["audit", "--trials", "2", "--frame-file"], {**QUBIT_FRAME, "dual": 5}, "malformed frame"),
+        # an infinite imaginary part must not warn on its way to the finiteness check
+        (["kd-table", "--bases-file"],
+         {**HADAMARD_BASES,
+          "basis_a": {**HADAMARD_BASES["basis_a"], "im": [float("inf"), 0, 0, 0]}},
+         "finite"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -344,7 +367,9 @@ class TestCoherence:
          "coherence-negative-seed", "kd-row-state", "kd-frame-row-state",
          "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit",
          "classical-65", "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65",
-         "kd-dim-9"],
+         "kd-dim-9", "kd-bases-file-infinite-rows", "audit-bases-file-infinite-cols",
+         "kd-state-infinite-rows", "frame-element-infinite-rows", "frame-infinite-d",
+         "frame-dual-number", "kd-bases-file-infinite-imaginary-part"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:
@@ -458,3 +483,74 @@ def test_fuzzed_coherence_config_exits_0_or_2(tmp_path_factory, config):
         assert err.getvalue() == ""
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _json_paths(node, prefix=()):
+    """Every key path into a JSON document: dict keys and list indices, nested ones too."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(document, replacements):
+    """A deep copy of ``document`` with the value at each path replaced; a path
+    whose parent an earlier replacement removed is skipped."""
+    document = json.loads(json.dumps(document))
+    for path, value in replacements:
+        node = document
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
+    return document
+
+
+_SCALAR_FUZZ = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([float("inf"), -float("inf"), float("nan")]),
+    st.text(alphabet="ab1.", max_size=3),
+)
+_FUZZ_VALUE = st.one_of(
+    _SCALAR_FUZZ,
+    st.lists(_SCALAR_FUZZ, max_size=3),
+    st.dictionaries(st.sampled_from(["rows", "cols", "re", "im", "d", "system", "bases", "x"]),
+                    _SCALAR_FUZZ, max_size=2),
+)
+# each input file with the command that reads it: the file path is appended
+_FUZZ_TARGETS = [
+    (QUBIT_FRAME, ["audit", "--system", "quantum:2", "--trials", "2", "--frame-file"]),
+    (HADAMARD_BASES, ["audit", "--system", "quantum:2", "--trials", "2", "--bases-file"]),
+    (HADAMARD_BASES, ["kd-table", "--bases-file"]),
+    (HADAMARD_BASES, ["kd-table", "--frame", "--bases-file"]),
+    (cmat_to_json(np.eye(2) / 2), ["kd-table", "--bases", "hadamard", "--state"]),
+    ({"systems": [{"system": "quantum:2", "bases": "hadamard"},
+                  {"system": "classical:2"}], "trials": 2, "seed": 1}, ["audit", "--config"]),
+]
+
+
+@st.composite
+def _fuzzed_input(draw):
+    document, argv = draw(st.sampled_from(_FUZZ_TARGETS))
+    paths = st.sampled_from(list(_json_paths(document)))
+    replacements = draw(st.lists(st.tuples(paths, _FUZZ_VALUE), min_size=1, max_size=2))
+    return _replaced(document, replacements), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_input())
+def test_fuzzed_input_files_exit_0_1_or_2(tmp_path_factory, case):
+    document, argv = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "input.json"
+    path.write_text(json.dumps(document))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv + [str(path), "--out", str(tmp / "out")])
+    if code == EXIT_CONSTRUCTION:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED) and err.getvalue() == ""

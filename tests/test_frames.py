@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -15,18 +16,15 @@ from quasirep.frames import (
     Frame,
     canonical_dual,
     channel_stack,
-    compose_channels,
-    depolarizing_channel,
     frame_from_json,
     frame_operator,
     frame_to_json,
     identity_channel,
     random_frame,
     represent_channel,
-    unitary_channel,
 )
 from quasirep.gpt import random_channel, random_density, random_effect
-from quasirep.linalg import devectorize, max_abs, vectorize
+from quasirep.linalg import max_abs, vectorize
 from quasirep.structure import ChiPhi, build_representation, frames_from_chi_phi
 
 from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex_matrix
@@ -45,6 +43,28 @@ def matrix_unit_frame(d=2):
             elements.append(e)
             labels.append(f"E{i}{j}")
     return Frame(elements, labels=labels)
+
+
+def depolarizing_kraus(d):
+    """Kraus family of ``X -> Tr(X) I / d``: matrix units ``E_ij / sqrt(d)``."""
+    return np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d)
+
+
+def composed_kraus(second, first):
+    """Kraus family of ``second o first``: the products ``k2 @ k1``, ``k2``-major."""
+    products = second.kraus[:, None] @ first.kraus[None]
+    return products.reshape(-1, second.d_out, first.d_in)
+
+
+def act(superop, x):
+    """The image of operator ``x`` under a superoperator: ``superop @ vec(x)``, reshaped."""
+    d_out = math.isqrt(superop.shape[0])
+    return (superop @ vectorize(x)).reshape(d_out, d_out)
+
+
+def choi(superop, d_out, d_in):
+    """The Choi matrix ``sum_k vec(K_k) vec(K_k)†``: ``superop`` realigned back."""
+    return superop.reshape(d_out, d_out, d_in, d_in).swapaxes(1, 2).reshape(d_out * d_in, -1)
 
 
 def represented(pair):
@@ -274,7 +294,7 @@ class TestRepresentChannel:
 
     def test_depolarizing_in_pauli_pair(self):
         pair = canonical_dual(pauli_frame())
-        gamma = represent_channel(pair, pair, depolarizing_channel(2))
+        gamma = represent_channel(pair, pair, Channel(depolarizing_kraus(2)))
         assert max_abs(gamma - np.diag([1.0, 0, 0, 0])) <= 1e-12
 
     def test_multiplicative_over_composition(self, rng):
@@ -282,7 +302,7 @@ class TestRepresentChannel:
         for trial in range(20):
             ch1 = random_channel(2, 2, seed=1000 + trial)
             ch2 = random_channel(2, 2, seed=2000 + trial)
-            lhs = represent_channel(pair, pair, compose_channels(ch2, ch1))
+            lhs = represent_channel(pair, pair, Channel(composed_kraus(ch2, ch1)))
             rhs = represent_channel(pair, pair, ch2) @ represent_channel(pair, pair, ch1)
             assert max_abs(lhs - rhs) <= 1e-9
 
@@ -387,24 +407,23 @@ class TestChannel:
 
     def test_choi_psd_and_trace_preserving(self):
         for seed in range(20):
-            ch = random_channel(2, 2, seed=seed)
-            assert np.linalg.eigvalsh(ch.choi()).min() >= -1e-12
-            gram = sum(k.conj().T @ k for k in ch.kraus)
+            superop, gram = channel_stack(random_channel(2, 2, seed=seed).kraus)
+            assert np.linalg.eigvalsh(choi(superop, 2, 2)).min() >= -1e-12
             assert max_abs(gram - np.eye(2)) <= 1e-10
 
     def test_apply_matches_kraus_sum(self, rng):
         ch = random_channel(2, 3, seed=5)
         x = random_complex_matrix(rng, 2)
         direct = sum(k @ x @ k.conj().T for k in ch.kraus)
-        assert max_abs(ch.apply(x) - direct) <= 1e-12
+        assert max_abs(act(ch.superop, x) - direct) <= 1e-12
 
     def test_unitary_channel(self, rng):
         from quasirep.linalg import haar_unitary
 
         u = haar_unitary(3, rng)
-        ch = unitary_channel(u)
+        superop = channel_stack(u[None])[0]
         x = random_complex_matrix(rng, 3)
-        assert max_abs(ch.apply(x) - u @ x @ u.conj().T) <= 1e-12
+        assert max_abs(superop @ vectorize(x) - vectorize(u @ x @ u.conj().T)) <= 1e-12
 
 
 @st.composite
@@ -440,23 +459,28 @@ class TestChannelStack:
         ch = Channel(list(stack), validate=False)
         assert ch.kraus.shape == stack.shape
         assert_kron_sum(ch.superop, stack)
+        _, d_out, d_in = stack.shape
         gram = sum(k.conj().T @ k for k in stack)
-        assert max_abs(ch._gram - gram) <= 1e-12 * max(1.0, max_abs(gram))
-        choi = sum(np.outer(vectorize(k), vectorize(k).conj()) for k in stack)
-        assert max_abs(ch.choi() - choi) <= 1e-12 * max(1.0, max_abs(choi))
+        built = channel_stack(stack, validate=False)[1]
+        assert max_abs(built - gram) <= 1e-12 * max(1.0, max_abs(gram))
+        reference = sum(np.outer(vectorize(k), vectorize(k).conj()) for k in stack)
+        realigned = choi(ch.superop, d_out, d_in)
+        assert max_abs(realigned - reference) <= 1e-12 * max(1.0, max_abs(reference))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=5, max_size=5), st.integers(0, 2**32 - 1))
     def test_compose_is_k2_major_kraus_products(self, sizes, seed):
+        # the Kraus products of a composition give the superoperator product
         n2, n1, d_out, d_mid, d_in = sizes
         rng = np.random.default_rng(seed)
         second = Channel(_contraction(random_complex_matrix(rng, n2 * d_out, d_mid)
                                       .reshape(n2, d_out, d_mid)))
         first = Channel(_contraction(random_complex_matrix(rng, n1 * d_mid, d_in)
                                      .reshape(n1, d_mid, d_in)))
-        composed = compose_channels(second, first)
+        composed = Channel(composed_kraus(second, first))
         reference = np.array([k2 @ k1 for k2 in second.kraus for k1 in first.kraus])
         assert max_abs(composed.kraus - reference) <= 1e-12
+        assert max_abs(composed.superop - second.superop @ first.superop) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(kraus_stacks(), st.data())
@@ -490,7 +514,7 @@ class TestChannelStack:
             ch = Channel(family)
             assert np.array_equal(superop, ch.superop)  # one formula for both
             assert_kron_sum(superop, family)
-            assert max_abs(gram - ch._gram) <= 1e-12
+            assert max_abs(gram - sum(k.conj().T @ k for k in family)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(kraus_stacks(max_ops=64, min_dim=8, max_dim=8))
@@ -564,17 +588,17 @@ class TestChannelStack:
         k = np.eye(2, dtype=complex)[None].copy()
         ch = Channel(k)
         k[0] *= 0.5
-        assert ch.kraus[0, 0, 0] == 1 and ch.is_trace_preserving()
+        assert ch.kraus[0, 0, 0] == 1 and np.array_equal(ch.superop, np.eye(4))
         with pytest.raises(ValueError):
             ch.kraus[0, 0, 0] = 2
 
     def test_trace_preserving_and_depolarizing(self):
         for d in (1, 2, 3):
-            ch = depolarizing_channel(d)
-            assert ch.is_trace_preserving()
+            superop, gram = channel_stack(depolarizing_kraus(d))
+            assert max_abs(gram - np.eye(d)) <= 1e-12
             x = random_complex_matrix(np.random.default_rng(d), d)
-            assert max_abs(ch.apply(x) - np.trace(x) * np.eye(d) / d) <= 1e-12
-        assert not Channel([np.eye(2) * 0.5]).is_trace_preserving()
+            assert max_abs(act(superop, x) - np.trace(x) * np.eye(d) / d) <= 1e-12
+        assert max_abs(channel_stack(np.eye(2)[None] * 0.5)[1] - np.eye(2) / 4) == 0
 
 
 class _ZeroGenerator:

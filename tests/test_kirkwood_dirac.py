@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep.errors import DimensionError, NonFaithfulBasesError
-from quasirep.frames import identity_channel, represent_channel, unitary_channel
+from quasirep.frames import Channel, identity_channel, represent_channel
 from quasirep.gpt import make_system, random_density
 from quasirep.kirkwood_dirac import (
     KdBases,
@@ -142,7 +142,7 @@ class TestRepresentation:
     def test_hadamard_unitary_squares_to_identity(self):
         pair = kd_frame_pair(random_faithful_bases(2, seed=3))
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        gamma = represent_channel(pair, pair, unitary_channel(h))
+        gamma = represent_channel(pair, pair, Channel([h]))
         assert max_abs(gamma @ gamma - np.eye(4)) <= 1e-9
 
     def test_discard_preservation(self, rng):

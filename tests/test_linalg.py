@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasirep.errors import DimensionError
 from quasirep.linalg import (
     RANK_RTOL,
     cmat_from_json,
     cmat_to_json,
-    devectorize,
     haar_isometries,
     haar_unitary,
     max_abs,
@@ -30,21 +28,12 @@ class TestVectorize:
         expected[1] = 1
         assert np.array_equal(v, expected)
 
-    def test_round_trip_bitwise(self, rng):
-        for _ in range(10):
-            x = random_complex_matrix(rng, 3)
-            assert np.array_equal(devectorize(vectorize(x)), x)
-
     def test_sandwich_identity(self, rng):
         # vec(A X B) against the kron formula computed by direct multiply
         a, x, b = (random_complex_matrix(rng, 2) for _ in range(3))
         direct = vectorize(a @ x @ b)
         kron_route = np.kron(a, b.T) @ vectorize(x)
         assert max_abs(direct - kron_route) <= 1e-10
-
-    def test_bad_length(self):
-        with pytest.raises(DimensionError):
-            devectorize(np.arange(5, dtype=complex))
 
 
 class TestRankRange:

@@ -189,14 +189,7 @@ def run_audit(cfg: dict) -> int:
     payload = report.to_json()
     payload["tol"] = tol_value
     _write_text(cfg.get("out"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    gate = (
-        report.semifunctorial
-        and report.empirically_adequate
-        and report.linear
-        and report.decomposition_residual <= tol_value
-    )
-    return EXIT_OK if gate else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passes(tol_value) else EXIT_CHECK_FAILED
 
 
 def run_coherence(cfg: dict) -> int:

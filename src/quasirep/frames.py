@@ -276,11 +276,15 @@ def frame_from_json(data: dict) -> Frame | DualPair:
     """Parse a frame file; returns a DualPair when a dual family is present.
 
     A stored dual is taken at face value (not re-validated) so that broken
-    pairs can be loaded for auditing.
+    pairs can be loaded for auditing.  ``d`` must be a JSON integer and the
+    labels a list of strings, as :func:`frame_to_json` writes them.
     """
     try:
-        d = int(data["d"])
-        labels = [str(x) for x in data["labels"]]
+        d, labels = data["d"], data["labels"]
+        if type(d) is not int:
+            raise TypeError(f"d must be an integer, got {d!r}")
+        if type(labels) is not list or not set(map(type, labels)) <= {str}:
+            raise TypeError("labels must be a list of strings")
         elements = [cmat_from_json(e) for e in data["elements"]]
         dual = data.get("dual")
         if dual is not None:

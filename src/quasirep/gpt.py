@@ -32,8 +32,6 @@ from .linalg import as_cmat, haar_isometries, max_abs, vectorize
 __all__ = [
     "GptSystem",
     "GptProcess",
-    "hermitian_basis",
-    "basis_isomorphism",
     "operator_to_coords",
     "make_system",
     "identity_resolution",
@@ -55,34 +53,26 @@ MAX_QUANTUM_DIM = 8
 COORDS_ATOL = 1e-10
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the ``d x d`` self-adjoint operators.
+def _basis_isomorphism(d: int) -> np.ndarray:
+    """Unitary ``d**2 x d**2`` matrix mapping real coordinates to vectorized
+    operators: column ``k`` is ``vec`` of the k-th element of the orthonormal
+    Hermitian basis of the ``d x d`` self-adjoint operators.
 
     Ordering: diagonal units first, then for each index pair ``j < k`` the
     symmetric and antisymmetric combinations ``(E_jk + E_kj)/sqrt(2)`` and
     ``i(E_kj - E_jk)/sqrt(2)`` (the Pauli X/Y pattern).
     """
-    basis = []
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    n = d  # the next pair's symmetric element
     for j in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[j, j] = 1
-        basis.append(m)
-    for j in range(d):
+        basis[j, j, j] = 1
         for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1 / np.sqrt(2)
-            basis.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1j / np.sqrt(2)
-            asym[k, j] = 1j / np.sqrt(2)
-            basis.append(asym)
-    return basis
-
-
-def basis_isomorphism(d: int) -> np.ndarray:
-    """Unitary ``d**2 x d**2`` matrix mapping Hermitian-basis coordinates to
-    vectorized operators (column ``k`` is ``vec`` of the k-th basis element)."""
-    return np.array([vectorize(h) for h in hermitian_basis(d)]).T
+            basis[n, j, k] = basis[n, k, j] = 1 / np.sqrt(2)
+            basis[n + 1, j, k] = -1j / np.sqrt(2)
+            basis[n + 1, k, j] = 1j / np.sqrt(2)
+            n += 2
+    # rows are vec of the elements; the transpose makes them columns
+    return basis.reshape(d * d, d * d).T
 
 
 def operator_to_coords(x, iso: np.ndarray) -> np.ndarray:
@@ -143,7 +133,7 @@ class GptSystem:
         self.label = label if label is not None else f"{kind}-{dim}"
         if kind == "quantum":
             self.real_dim = dim**2
-            self.iso = basis_isomorphism(dim)
+            self.iso = _basis_isomorphism(dim)
             ops = np.array(_tomography_states(dim))
             coords = self.iso.conj().T @ ops.reshape(len(ops), -1).T
             if max_abs(coords.imag) > COORDS_ATOL:

@@ -148,11 +148,18 @@ def cmat_to_json(a) -> dict:
 
 
 def cmat_from_json(data: dict) -> np.ndarray:
-    """Parse the matrix format produced by :func:`cmat_to_json`."""
+    """Parse the matrix format produced by :func:`cmat_to_json`.
+
+    ``rows`` and ``cols`` must be JSON integers and the entries JSON numbers:
+    a string, boolean or null is rejected, not converted.
+    """
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        rows, cols, re, im = data["rows"], data["cols"], data["re"], data["im"]
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
+        if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+            raise TypeError("entries must be numbers")
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix record: {exc}") from exc
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):

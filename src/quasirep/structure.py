@@ -4,6 +4,8 @@ A :class:`Representation` assigns to each system an index set and a pair of
 matrices: a state side mapping coordinates to coefficient vectors and an
 effect side mapping coefficients back.  For quantum systems both come from a
 frame/dual pair; the classical delta-basis assignment uses identity slots.
+Everything reads a representation through :meth:`Representation.apply`,
+states and effects being processes from and to the trivial system ``None``.
 
 The engine extracts, per system,
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,10 +88,6 @@ class SystemSlot:
             raise DimensionError("state and effect sides act on different spaces")
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
     def coord_dim(self) -> int:
         """Complex dimension of the system's complexified coordinate space."""
         return self.rep.shape[1]
@@ -103,20 +101,22 @@ class SystemSlot:
         eye = np.eye(n, dtype=complex)
         return cls([str(i) for i in range(n)], eye, eye)
 
-    def id_image(self) -> np.ndarray:
-        return self.rep @ self.recon
-
 
 class Representation:
-    """A per-system assignment of slots, applied to channels and processes."""
+    """A per-system assignment of slots, read only through :meth:`apply`.
+
+    States, effects and the identity are processes: a state is a process from
+    the trivial system and an effect one to it, written ``None``, whose slot
+    is the identity.  Validation checks that each identity image is idempotent.
+    """
 
     def __init__(self, slots: dict[str, SystemSlot], validate: bool = True):
         if not slots:
             raise DimensionError("a representation needs at least one system")
         self.slots = dict(slots)
         if validate:
-            for name, slot in self.slots.items():
-                d = slot.id_image()
+            for name in self.slots:
+                d = self.id_image(name)
                 residual = max_abs(d @ d - d)
                 if residual > IDEMPOTENCY_ATOL:
                     raise NonIdempotentError(
@@ -131,52 +131,40 @@ class Representation:
             raise KeyError(f"representation is not defined on system {system!r}") from None
 
     def id_image(self, system: str) -> np.ndarray:
-        return self.slot(system).id_image()
+        """The image ``D = rep @ recon`` of the identity process on ``system``,
+        ``apply(system, system, I)``."""
+        return self.apply(system, system, np.eye(self.slot(system).coord_dim))
 
-    def represent_state(self, system: str, x) -> np.ndarray:
-        """Coefficient vector ``rep @ vec(x)`` of a state (operator or vector),
-        or one row per operator of a ``(..., d, d)`` stack."""
-        slot = self.slot(system)
-        return (slot.rep @ _coord_vectors(slot, x)[..., None])[..., 0]
-
-    def represent_effect(self, system: str, e) -> np.ndarray:
-        """Covector ``conj(vec(e)) @ recon``; conjugate-linear in ``e``.
-        Stacks of operators give one covector per operator."""
-        slot = self.slot(system)
-        return (_coord_vectors(slot, e)[..., None, :].conj() @ slot.recon)[..., 0, :]
-
-    def apply(self, system_in: str, system_out: str, process) -> np.ndarray:
+    def apply(self, system_in: str | None, system_out: str | None, process) -> np.ndarray:
         """Representation matrix ``rep_out @ M @ recon_in`` of a process.
 
         ``M`` is a process matrix on the coordinate spaces, such as a
         channel superoperator from :func:`~quasirep.frames.channel_stack`,
         or a ``(B, out, in)`` stack of them (giving a stack of
-        representation matrices); a mismatched shape raises
+        representation matrices).  ``None`` is the trivial system, whose
+        factor is omitted: ``apply(None, a, M)`` is ``rep_a @ M`` for states
+        as the columns of ``M``, and ``apply(a, None, M)`` is ``M @ recon_a``
+        for effect covectors as its rows (an effect ``E`` is the row
+        ``conj(vec(E))``).  A shape that does not fit raises
         :class:`DimensionError`.
         """
-        slot_in = self.slot(system_in)
-        slot_out = self.slot(system_out)
+        rep = None if system_out is None else self.slot(system_out).rep
+        recon = None if system_in is None else self.slot(system_in).recon
         m = np.asarray(process, dtype=complex)
         if m.ndim not in (2, 3):
             raise DimensionError(f"expected a process matrix or a stack, got ndim={m.ndim}")
         if not np.all(np.isfinite(m)):
             raise ValueError("process entries must be finite")
-        if m.shape[-2:] != (slot_out.coord_dim, slot_in.coord_dim):
+        fits = (m.shape[-2] if rep is None else rep.shape[1],
+                m.shape[-1] if recon is None else recon.shape[0])
+        if m.shape[-2:] != fits:
             raise DimensionError(
                 f"process matrix {m.shape[-2:]} does not map the coordinate spaces "
-                f"{slot_in.coord_dim} -> {slot_out.coord_dim}"
+                f"{fits[1]} -> {fits[0]}"
             )
-        return slot_out.rep @ m @ slot_in.recon
-
-
-def _coord_vectors(slot: SystemSlot, x) -> np.ndarray:
-    """Row-major flattening (the ``vectorize`` convention), size-checked: of
-    ``x`` itself for an operator or vector, of each operator of a stack."""
-    v = np.asarray(x, dtype=complex)
-    v = v.reshape(v.shape[:-2] + (-1,)) if v.ndim > 2 else v.reshape(-1)
-    if v.shape[-1] != slot.coord_dim:
-        raise DimensionError(f"input size {v.shape[-1]} != coordinate dimension {slot.coord_dim}")
-    return v
+        if rep is not None:
+            m = rep @ m
+        return m if recon is None else m @ recon
 
 
 def build_representation(assignment: dict[str, DualPair], validate: bool = True) -> Representation:
@@ -200,12 +188,12 @@ def _complexified_effect_rows(sys: GptSystem, effects: np.ndarray) -> np.ndarray
 def extract_chi(rep: Representation, sys: GptSystem) -> np.ndarray:
     """The state map ``chi`` recovered from the action on spanning states.
 
-    ``chi = sum_ij t_ij m_i c_j`` with ``m_i`` the represented states (as
-    columns) and ``c_j`` the complexified effect functionals (as rows); by
-    the identity resolution it satisfies ``chi @ coords(s) == rep(s)`` for
-    every state.
+    ``chi = sum_ij t_ij m_i c_j`` with ``m_i`` the represented states, the
+    columns of ``rep.apply(None, sys.label, coords)``, and ``c_j`` the
+    complexified effect functionals (as rows); by the identity resolution it
+    satisfies ``chi @ coords(s) == rep(s)`` for every state.
     """
-    images = rep.slot(sys.label).rep @ _complexified_state_coords(sys)  # |Lambda| x n_states
+    images = rep.apply(None, sys.label, _complexified_state_coords(sys))  # |Lambda| x n_states
     effect_rows = _complexified_effect_rows(sys, sys.effects)          # n_effects x D
     return images @ sys.t.astype(complex) @ effect_rows
 
@@ -213,22 +201,22 @@ def extract_chi(rep: Representation, sys: GptSystem) -> np.ndarray:
 def extract_phi(rep: Representation, sys: GptSystem, chi: np.ndarray | None = None) -> np.ndarray:
     """The effect map ``phi`` fixed by ``chi`` and the identity image.
 
-    Implemented as the Moore-Penrose inverse of ``chi`` (equal to the inverse
-    of its surjective corestriction on the range) composed with ``D``.
+    Implemented as ``pinv(chi) @ D``: the Moore-Penrose inverse of ``chi``
+    (equal to the inverse of its surjective corestriction on the range)
+    composed with the identity image ``D = rep.id_image(sys.label)``.
 
     Raises:
-        InjectivityError: if ``chi`` is rank-deficient, so no corestricted
-            inverse exists.
+        InjectivityError: if ``chi`` is rank-deficient (rank below its
+            column count), so no corestricted inverse exists.
     """
     if chi is None:
         chi = extract_chi(rep, sys)
-    slot = rep.slot(sys.label)
     rank, _, pinv = rank_range(chi)
-    if rank < slot.coord_dim:
+    if rank < chi.shape[1]:
         raise InjectivityError(
-            f"state map has rank {rank} < {slot.coord_dim}; not injective"
+            f"state map has rank {rank} < {chi.shape[1]}; not injective"
         )
-    return pinv @ slot.id_image()
+    return pinv @ rep.id_image(sys.label)
 
 
 def effect_sum_phi(rep: Representation, sys: GptSystem) -> np.ndarray:
@@ -236,8 +224,8 @@ def effect_sum_phi(rep: Representation, sys: GptSystem) -> np.ndarray:
     ``phi = sum_ij t_ij v_i xi_j`` with complexified state coordinates ``v_i``
     (columns) and represented effects ``xi_j`` (rows)."""
     coords = _complexified_state_coords(sys)
-    # a real effect's row is the conjugate of its coordinates: row @ recon is xi
-    xi_rows = _complexified_effect_rows(sys, sys.effects) @ rep.slot(sys.label).recon
+    # a real effect's row is the conjugate of its coordinates
+    xi_rows = rep.apply(sys.label, None, _complexified_effect_rows(sys, sys.effects))
     return coords @ sys.t.astype(complex) @ xi_rows
 
 
@@ -385,37 +373,23 @@ class AuditReport:
     seed: int
     trials: int
 
-    @property
-    def all_core_pass(self) -> bool:
-        """The gating properties; discard preservation is reported only."""
+    def passes(self, tol: float = DECOMPOSITION_ATOL) -> bool:
+        """The gating properties, with ``tol`` as the decomposition residual's
+        ceiling; discard preservation is reported only."""
         return (
             self.semifunctorial
             and self.empirically_adequate
             and self.linear
-            and self.decomposition_residual <= DECOMPOSITION_ATOL
+            and self.decomposition_residual <= tol
         )
 
     def to_json(self) -> dict:
-        return {
-            "semifunctorial": self.semifunctorial,
-            "semifunctorial_residual": self.semifunctorial_residual,
-            "empirically_adequate": self.empirically_adequate,
-            "adequacy_residual": self.adequacy_residual,
-            "linear": self.linear,
-            "linearity_residual": self.linearity_residual,
-            "discard_preserving": self.discard_preserving,
-            "discard_residual": self.discard_residual,
-            "functorial": self.functorial,
-            "decomposition_residual": self.decomposition_residual,
-            "dim_check": self.dim_check,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
-def _discard_residual(rep: Representation, sys: GptSystem, chi: np.ndarray) -> float:
+def _discard_residual(sys: GptSystem, chi: np.ndarray) -> float:
     """Deviation of the represented discard, ``ones @ chi``, from the summation functional."""
-    ones = np.ones(rep.slot(sys.label).size, dtype=complex)
+    ones = np.ones(chi.shape[0], dtype=complex)
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
@@ -460,9 +434,10 @@ def _audit_block(
         rho_normals, eff_normals = _rows(next(roles), count, [(2, sys.dim, sys.dim)] * 2)
         rho = density_stack(rho_normals)
         eff = effect_stack(eff_normals, _rows(next(roles), count, [(sys.dim,)], uniform=True)[0])
-        mu = rep.represent_state(sys.label, rho)
-        xi = rep.represent_effect(sys.label, eff)
-        gap = (xi[:, None, :] @ mu[:, :, None])[:, 0, 0] - np.trace(eff @ rho, axis1=1, axis2=2)
+        # states as (d**2, 1) columns and effects as (1, d**2) conjugate rows
+        mu = rep.apply(None, sys.label, rho.reshape(count, -1, 1))
+        xi = rep.apply(sys.label, None, eff.reshape(count, 1, -1).conj())
+        gap = (xi @ mu)[:, 0, 0] - np.trace(eff @ rho, axis1=1, axis2=2)
         # hypot is the scalar complex abs; the array abs may differ in the last bit
         adequacy = np.maximum(adequacy, np.hypot(gap.real, gap.imag).max())
 
@@ -551,11 +526,9 @@ def audit_representation(
             residuals = np.maximum(residuals, _audit_block(rep, quantum, roles, count))
 
         chis = {s.label: extract_chi(rep, s) for s in systems}
-        discard = np.max([_discard_residual(rep, s, chis[s.label]) for s in systems], initial=0.0)
-        functorial = all(
-            max_abs(rep.id_image(s.label) - np.eye(rep.slot(s.label).size)) <= IDEMPOTENCY_ATOL
-            for s in systems
-        )
+        discard = np.max([_discard_residual(s, chis[s.label]) for s in systems], initial=0.0)
+        id_images = (rep.id_image(s.label) for s in systems)
+        functorial = all(max_abs(d - np.eye(len(d))) <= IDEMPOTENCY_ATOL for d in id_images)
 
         # one rank decision per system: dim_check holds iff every chi is injective
         phis = {}

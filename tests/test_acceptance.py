@@ -65,7 +65,10 @@ def test_criterion_01_born_rule_adequacy():
         rho = random_density(d, rng)
         eff = random_effect(d, rng)
         rep = build_representation({"s": pair})
-        lhs = rep.represent_effect("s", eff) @ rep.represent_state("s", rho)
+        # the state from the trivial system, the effect to it
+        mu = rep.apply(None, "s", rho.reshape(-1, 1))
+        xi = rep.apply("s", None, eff.reshape(1, -1).conj())
+        lhs = (xi @ mu)[0, 0]
         worst = max(worst, abs(lhs - np.trace(eff @ rho)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10, f"born residual {worst:.3e}"

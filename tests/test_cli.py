@@ -113,6 +113,18 @@ class TestAudit:
         assert report["functorial"] is True
         assert report["discard_preserving"] is True
 
+    def test_tol_gates_the_decomposition_residual(self, tmp_path):
+        # the gate passes at the reported residual and fails just below it
+        argv = ["audit", "--system", "quantum:3", "--bases", "fourier", "--trials", "4"]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        residual = json.loads(out.read_text())["decomposition_residual"]
+        assert residual > 0
+        assert main(argv + ["--tol", repr(residual), "--out", str(out)]) == EXIT_OK
+        below = repr(float(np.nextafter(residual, 0)))
+        assert main(argv + ["--tol", below, "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert json.loads(out.read_text())["tol"] == float(below)
+
     def test_matrix_unit_frame_reports_discard_without_gating(self, tmp_path):
         elements = []
         for i in range(2):
@@ -360,6 +372,29 @@ class TestCoherence:
          {**HADAMARD_BASES,
           "basis_a": {**HADAMARD_BASES["basis_a"], "im": [float("inf"), 0, 0, 0]}},
          "finite"),
+        # JSON values of the wrong type are rejected, not converted
+        (["kd-table", "--dim", "2", "--state"],
+         {"rows": "2", "cols": 2.0, "re": ["1", 0, 0, False], "im": [0, 0, 0, 0]},
+         "malformed matrix"),
+        (["kd-table", "--bases", "hadamard", "--state"],
+         {**cmat_to_json(np.eye(2) / 2), "rows": "2"}, "malformed matrix"),
+        (["kd-table", "--bases", "hadamard", "--state"],
+         {**cmat_to_json(np.eye(2) / 2), "cols": 2.0}, "malformed matrix"),
+        (["kd-table", "--bases", "hadamard", "--state"],
+         {**cmat_to_json(np.eye(2) / 2), "re": ["0.5", 0, 0, 0.5]}, "malformed matrix"),
+        (["kd-table", "--bases", "hadamard", "--state"],
+         {**cmat_to_json(np.eye(2) / 2), "im": [0, 0, False, 0]}, "malformed matrix"),
+        (["audit", "--trials", "2", "--frame-file"],
+         {**QUBIT_FRAME, "labels": [None, True, {"a": 1}, [1], 0, 1, 2, 3]}, "malformed frame"),
+        (["audit", "--trials", "2", "--frame-file"], {**QUBIT_FRAME, "labels": "01234567"},
+         "malformed frame"),
+        (["audit", "--trials", "2", "--frame-file"], {**QUBIT_FRAME, "d": "2"}, "malformed frame"),
+        (["audit", "--trials", "2", "--frame-file"],
+         {**QUBIT_FRAME, "elements": [{**QUBIT_FRAME["elements"][0], "rows": "2"},
+                                      *QUBIT_FRAME["elements"][1:]]}, "malformed matrix"),
+        (["audit", "--trials", "2", "--frame-file"],
+         {**QUBIT_FRAME, "dual": [{**QUBIT_FRAME["dual"][0], "re": [True, 0, 0, 0]},
+                                  *QUBIT_FRAME["dual"][1:]]}, "malformed matrix"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -369,7 +404,11 @@ class TestCoherence:
          "classical-65", "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65",
          "kd-dim-9", "kd-bases-file-infinite-rows", "audit-bases-file-infinite-cols",
          "kd-state-infinite-rows", "frame-element-infinite-rows", "frame-infinite-d",
-         "frame-dual-number", "kd-bases-file-infinite-imaginary-part"],
+         "frame-dual-number", "kd-bases-file-infinite-imaginary-part",
+         "kd-state-wrong-types", "kd-state-string-rows", "kd-state-float-cols",
+         "kd-state-string-entry", "kd-state-boolean-entry", "frame-non-string-labels",
+         "frame-labels-string", "frame-string-d", "frame-element-string-rows",
+         "frame-dual-boolean-entry"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

@@ -73,18 +73,18 @@ def represented(pair):
 
 
 def state_coeffs(pair, x):
-    return represented(pair).represent_state("s", x)
+    """``rep @ vec(x)``: the state ``x`` as a process from the trivial system."""
+    return represented(pair).apply(None, "s", np.reshape(x, (-1, 1)))[:, 0]
 
 
 def effect_coeffs(pair, e):
-    return represented(pair).represent_effect("s", e)
+    """``conj(vec(e)) @ recon``: the effect ``e`` as a process to the trivial system."""
+    return represented(pair).apply("s", None, np.reshape(e, (1, -1)).conj())[0]
 
 
 def born_residual(pair, rho, eff):
     """``|sum_l xi_l mu_l - Tr(eff rho)|`` through the representation."""
-    rep = represented(pair)
-    lhs = rep.represent_effect("s", eff) @ rep.represent_state("s", rho)
-    return abs(lhs - np.trace(eff @ rho))
+    return abs(effect_coeffs(pair, eff) @ state_coeffs(pair, rho) - np.trace(eff @ rho))
 
 
 def reconstruct(pair, mu):
@@ -335,8 +335,7 @@ class TestBornProbe:
         rho = np.diag([1.0, 0.0]).astype(complex)
         pair = canonical_dual(random_frame(2, 4, rng))
         assert born_residual(pair, rho, rho) <= 1e-10
-        rep = represented(pair)
-        probability = rep.represent_effect("s", rho) @ rep.represent_state("s", rho)
+        probability = effect_coeffs(pair, rho) @ state_coeffs(pair, rho)
         assert probability == pytest.approx(1.0)
 
     def test_kd_pair_random_inputs(self, rng):

@@ -120,7 +120,7 @@ class TestFramePair:
             rep = build_representation({"s": kd_frame_pair(kb)})
             for _ in range(20):
                 rho = random_density(d, rng)
-                mu = rep.represent_state("s", rho).reshape(d, d)
+                mu = rep.apply(None, "s", rho.reshape(-1, 1)).reshape(d, d)
                 assert max_abs(mu - kd_distribution(kb, rho)) <= 1e-12
 
 

@@ -46,14 +46,12 @@ from .kirkwood_dirac import (
 )
 from .structure import (
     AuditReport,
-    ChiPhi,
     Representation,
     audit_representation,
     build_representation,
     extract_chi,
     extract_chi_phi,
     extract_phi,
-    frames_from_chi_phi,
     split_idempotent,
     splitting_isomorphism,
     verify_decomposition,

@@ -72,16 +72,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _coerce(kind: type, value, name: str):
-    """``kind(value)``; a wrong JSON type, a boolean or a fractional int is a parse error."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        result = kind(value)
-        if kind is int and isinstance(value, float) and result != value:
-            raise ValueError
-        return result
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
+    """``kind(value)`` of a JSON integer, or for ``float`` of any JSON number;
+    a boolean, string or null is a parse error, as in the matrix records."""
+    if type(value) is int or (kind is float and type(value) is float):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 def _seed(cfg: dict) -> int:
@@ -118,8 +116,8 @@ def run_kd_table(cfg: dict) -> int:
 
     if cfg.get("frame"):
         # route through the frame pair: validates faithfulness
-        slot = SystemSlot.from_pair(kd_frame_pair(kb))
-        table = (slot.rep @ rho.reshape(-1)).reshape(dim, dim)
+        rep = Representation({"kd": SystemSlot.from_pair(kd_frame_pair(kb))}, validate=False)
+        table = rep.apply(None, "kd", rho.reshape(-1, 1)).reshape(dim, dim)
     else:
         table = kd_distribution(kb, rho)
 
@@ -195,7 +193,10 @@ def run_audit(cfg: dict) -> int:
 def run_coherence(cfg: dict) -> int:
     dims = cfg.get("dims", "2,3,2")
     if isinstance(dims, str):
-        dims = dims.split(",")
+        try:
+            dims = [int(x) for x in dims.split(",")]
+        except ValueError:
+            raise ValueError(f"dims must be integers such as '2,3,2', got {dims!r}") from None
     if not isinstance(dims, list):
         raise ValueError(f"dims must be a list or a string such as '2,3,2', got {dims!r}")
     if len(dims) > 3:

@@ -57,6 +57,7 @@ class Frame:
     The elements are held as one read-only ``(n, d, d)`` complex array,
     copied from the input (any sequence of equally shaped square matrices,
     or such a stack); ``elements`` and ``vec_matrix`` are views into it.
+    The labels, one per element, must be distinct.
     Non-spanning families are representable (and reported by
     :meth:`is_spanning`); operations that need a dual reject them.
     """
@@ -69,6 +70,8 @@ class Frame:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise DimensionError("one label per frame element required")
+        if len(set(labels)) != n:
+            raise DimensionError("frame labels must be distinct")
         self.dim = d
         self.labels = labels
         self.elements = tuple(stack)
@@ -101,9 +104,8 @@ class DualPair:
             raise DimensionError("frame and dual must share the index set")
         self.frame = frame
         self.dual = dual
-        self.reconstruction_residual = max_abs(
-            self._reconstruction_superop() - np.eye(frame.dim**2)
-        )
+        reconstruction = np.einsum("li,lj->ij", dual.vec_matrix, frame.vec_matrix.conj())
+        self.reconstruction_residual = max_abs(reconstruction - np.eye(frame.dim**2))
         if validate and self.reconstruction_residual > RECONSTRUCTION_ATOL:
             raise ReconstructionError(
                 f"reconstruction identity fails: residual "
@@ -117,20 +119,6 @@ class DualPair:
     @property
     def labels(self) -> tuple:
         return self.frame.labels
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def _reconstruction_superop(self) -> np.ndarray:
-        vg, vf = self.dual.vec_matrix, self.frame.vec_matrix
-        return np.einsum("li,lj->ij", vg, vf.conj())
-
-    def gram(self) -> np.ndarray:
-        """Overlap matrix ``Tr(F_l† G_l')``; the identity iff biorthogonal."""
-        return self.frame.vec_matrix.conj() @ self.dual.vec_matrix.T
-
-    def is_biorthogonal(self) -> bool:
-        return max_abs(self.gram() - np.eye(len(self))) <= RECONSTRUCTION_ATOL
 
 
 class Channel:

@@ -136,8 +136,6 @@ class GptSystem:
             self.iso = _basis_isomorphism(dim)
             ops = np.array(_tomography_states(dim))
             coords = self.iso.conj().T @ ops.reshape(len(ops), -1).T
-            if max_abs(coords.imag) > COORDS_ATOL:
-                raise ValueError("tomography states are not self-adjoint")
             self.states = coords.T.real.copy()
             self.effects = self.states.copy()
             self.u = operator_to_coords(np.eye(dim), self.iso)

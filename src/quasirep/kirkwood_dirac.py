@@ -34,6 +34,9 @@ __all__ = [
 OVERLAP_FLOOR = 1e-10
 # Entrywise ceiling of ``B† B - I`` for a basis matrix to count as unitary.
 UNITARITY_ATOL = 1e-7
+# Haar rotations are faithful with probability one, so running out of draws
+# means the generator is degenerate, not unlucky.
+RANDOM_BASES_MAX_DRAWS = 1000
 
 
 class KdBases:
@@ -123,12 +126,12 @@ def preset_bases(name: str, d: int) -> KdBases:
     raise ValueError(f"unknown bases preset {name!r}")
 
 
-def random_faithful_bases(d: int, seed: int = 0, max_draws: int = 1000) -> KdBases:
+def random_faithful_bases(d: int, seed: int = 0) -> KdBases:
     """Standard basis against a Haar-random rotation, resampled until faithful."""
     rng = np.random.default_rng(seed)
     eye = np.eye(d, dtype=complex)
-    for _ in range(max_draws):
+    for _ in range(RANDOM_BASES_MAX_DRAWS):
         kb = KdBases(eye, haar_unitary(d, rng))
         if kb.faithful:
             return kb
-    raise NonFaithfulBasesError(f"no faithful rotation found in {max_draws} draws")
+    raise NonFaithfulBasesError(f"no faithful rotation found in {RANDOM_BASES_MAX_DRAWS} draws")

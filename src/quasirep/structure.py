@@ -7,7 +7,9 @@ frame/dual pair; the classical delta-basis assignment uses identity slots.
 Everything reads a representation through :meth:`Representation.apply`,
 states and effects being processes from and to the trivial system ``None``.
 
-The engine extracts, per system,
+The engine extracts, per system, one :class:`SystemSlot` of two maps
+(:func:`extract_chi_phi`; :meth:`SystemSlot.to_pair` recovers its frame/dual
+pair),
 
 * ``chi``: the map fixed by the action on spanning states alone,
   ``chi = sum_ij t_ij (state image)_i (complexified effect)_j``,
@@ -45,7 +47,6 @@ from .linalg import as_cmat, max_abs, rank_range
 __all__ = [
     "SystemSlot",
     "Representation",
-    "ChiPhi",
     "AuditReport",
     "build_representation",
     "extract_chi",
@@ -56,7 +57,6 @@ __all__ = [
     "splitting_isomorphism",
     "verify_decomposition",
     "audit_representation",
-    "frames_from_chi_phi",
 ]
 
 # Residual ceilings used by representation validation and audit verdicts.
@@ -72,10 +72,11 @@ AUDIT_BLOCK_TRIALS = 64
 
 
 class SystemSlot:
-    """Per-system representation data: index labels plus both map matrices.
+    """A system's two maps: index labels plus the state and effect matrices.
 
-    ``rep`` maps complex coordinates to coefficients and ``recon`` maps them
-    back; a frame/dual pair gives its conjugated frame rows and dual columns.
+    ``rep`` (the state map ``chi``) maps complex coordinates to coefficients
+    and ``recon`` (the effect map ``phi``) maps them back; a frame/dual pair
+    gives its conjugated frame rows and dual columns (:meth:`from_pair`).
     """
 
     def __init__(self, labels, rep_matrix, recon_matrix):
@@ -96,10 +97,30 @@ class SystemSlot:
     def from_pair(cls, pair: DualPair) -> "SystemSlot":
         return cls(pair.labels, pair.frame.vec_matrix.conj(), pair.dual.vec_matrix.T)
 
+    def to_pair(self, d: int, validate: bool = True) -> DualPair:
+        """The frame/dual pair on ``d x d`` operators, inverse to :meth:`from_pair`.
+
+        Raises:
+            DimensionError: if the slot does not act on ``d**2`` coordinates.
+        """
+        if self.coord_dim != d * d:
+            raise DimensionError(f"slot acts on {self.coord_dim} coordinates, not d**2 = {d * d}")
+        frame = Frame(self.rep.conj().reshape(-1, d, d), labels=self.labels)
+        dual = Frame(self.recon.T.reshape(-1, d, d), labels=self.labels)
+        return DualPair(frame, dual, validate=validate)
+
     @classmethod
     def classical(cls, n: int) -> "SystemSlot":
         eye = np.eye(n, dtype=complex)
         return cls([str(i) for i in range(n)], eye, eye)
+
+
+def _check_idempotent(d: np.ndarray, what: str) -> None:
+    """Raise :class:`NonIdempotentError` naming ``what`` unless ``d @ d == d``
+    to ``IDEMPOTENCY_ATOL``; an overflow to NaN fails."""
+    residual = max_abs(d @ d - d)
+    if not residual <= IDEMPOTENCY_ATOL:
+        raise NonIdempotentError(f"{what} is not idempotent (residual {residual:.3e})")
 
 
 class Representation:
@@ -116,13 +137,7 @@ class Representation:
         self.slots = dict(slots)
         if validate:
             for name in self.slots:
-                d = self.id_image(name)
-                residual = max_abs(d @ d - d)
-                if residual > IDEMPOTENCY_ATOL:
-                    raise NonIdempotentError(
-                        f"identity image on system {name!r} is not idempotent "
-                        f"(residual {residual:.3e})"
-                    )
+                _check_idempotent(self.id_image(name), f"identity image on system {name!r}")
 
     def slot(self, system: str) -> SystemSlot:
         try:
@@ -229,38 +244,20 @@ def effect_sum_phi(rep: Representation, sys: GptSystem) -> np.ndarray:
     return coords @ sys.t.astype(complex) @ xi_rows
 
 
-@dataclass(frozen=True, eq=False)
-class ChiPhi:
-    """Extracted pair of maps for one system, with its consistency residuals."""
+def extract_chi_phi(rep: Representation, sys: GptSystem) -> SystemSlot:
+    """The slot ``(chi, phi)`` of ``sys``, on its labels in ``rep``.
 
-    chi: np.ndarray
-    phi: np.ndarray
-    hilbert_dim: int
-    labels: tuple
-
-    def validate(self) -> None:
-        """Check ``phi @ chi == I`` and that ``chi @ phi`` is idempotent.
-
-        A left inverse makes ``chi`` injective; the rank itself is decided
-        once, by :func:`extract_phi`, which rejects a rank-deficient ``chi``
-        before any pair is built.
-        """
-        d2 = self.chi.shape[1]
-        left = max_abs(self.phi @ self.chi - np.eye(d2))
-        if left > SEMIFUNCTORIAL_ATOL:
-            raise InjectivityError(f"phi is not a left inverse of chi (residual {left:.3e})")
-        d = self.chi @ self.phi
-        residual = max_abs(d @ d - d)
-        if residual > IDEMPOTENCY_ATOL:
-            raise NonIdempotentError(f"chi @ phi is not idempotent (residual {residual:.3e})")
-
-
-def extract_chi_phi(rep: Representation, sys: GptSystem) -> ChiPhi:
+    Raises:
+        InjectivityError: if ``chi`` is rank-deficient or ``phi @ chi != I``.
+        NonIdempotentError: if ``chi @ phi`` is not idempotent.
+    """
     chi = extract_chi(rep, sys)
     phi = extract_phi(rep, sys, chi)
-    pair = ChiPhi(chi=chi, phi=phi, hilbert_dim=sys.dim, labels=rep.slot(sys.label).labels)
-    pair.validate()
-    return pair
+    left = max_abs(phi @ chi - np.eye(chi.shape[1]))
+    if left > SEMIFUNCTORIAL_ATOL:
+        raise InjectivityError(f"phi is not a left inverse of chi (residual {left:.3e})")
+    _check_idempotent(chi @ phi, "chi @ phi")
+    return SystemSlot(rep.slot(sys.label).labels, chi, phi)
 
 
 def split_idempotent(d_mat) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +270,7 @@ def split_idempotent(d_mat) -> tuple[np.ndarray, np.ndarray]:
         NonIdempotentError: when ``D @ D`` differs from ``D`` beyond ``IDEMPOTENCY_ATOL``.
     """
     d_mat = as_cmat(d_mat, square=True)
-    residual = max_abs(d_mat @ d_mat - d_mat)
-    if residual > IDEMPOTENCY_ATOL:
-        raise NonIdempotentError(f"matrix is not idempotent: residual {residual:.3e}")
+    _check_idempotent(d_mat, "matrix")
     _, basis, _ = rank_range(d_mat)
     iota = basis
     pi = basis.conj().T @ d_mat
@@ -573,18 +568,3 @@ def audit_representation(
         seed=seed,
         trials=trials,
     )
-
-
-def frames_from_chi_phi(cp: ChiPhi, validate: bool = True) -> DualPair:
-    """Recover the frame/dual pair underlying an extracted map pair.
-
-    Rows of ``chi`` are the conjugated vectorized frame elements and columns
-    of ``phi`` the vectorized dual elements; the rebuilt pair satisfies the
-    reconstruction identity and its overlap matrix reproduces ``chi @ phi``.
-    """
-    d = cp.hilbert_dim
-    if cp.chi.shape[1] != d**2:
-        raise DimensionError("chi does not act on a d**2-dimensional operator space")
-    frame = Frame(cp.chi.conj().reshape(-1, d, d), labels=cp.labels)
-    dual = Frame(cp.phi.T.reshape(-1, d, d), labels=cp.labels)
-    return DualPair(frame, dual, validate=validate)

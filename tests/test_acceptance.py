@@ -38,11 +38,10 @@ from quasirep.gpt import (
 from quasirep.kirkwood_dirac import kd_distribution, kd_frame_pair, preset_bases, random_faithful_bases
 from quasirep.linalg import cmat_to_json, max_abs, numerical_rank, rank_range, vectorize
 from quasirep.structure import (
-    ChiPhi,
+    SystemSlot,
     build_representation,
     extract_chi,
     extract_phi,
-    frames_from_chi_phi,
     split_idempotent,
     splitting_isomorphism,
     verify_decomposition,
@@ -113,7 +112,8 @@ def test_criterion_04_kd_biorthogonality():
     worst = 0.0
     for d, seed in ((2, 41), (2, 42), (3, 43), (3, 44)):
         pair = kd_frame_pair(random_faithful_bases(d, seed=seed))
-        worst = max(worst, max_abs(pair.gram() - np.eye(d * d)))
+        gram = build_representation({"kd": pair}).id_image("kd")
+        worst = max(worst, max_abs(gram - np.eye(d * d)))
     assert worst <= 1e-12, f"gram residual {worst:.3e}"
     report(4, f"KD frame/dual biorthogonality at d=2,3: {worst:.2e}")
 
@@ -215,7 +215,7 @@ def test_criterion_08_frame_extraction_round_trip():
         d = (2, 3)[trial % 2]
         pair = canonical_dual(random_frame(d, d * d + trial % 3, rng))
         chi, phi = pair.frame.vec_matrix.conj(), pair.dual.vec_matrix.T
-        back = frames_from_chi_phi(ChiPhi(chi, phi, d, pair.labels))
+        back = SystemSlot(pair.labels, chi, phi).to_pair(d)
         assert back.frame.is_spanning()
         for got, want in ((back.frame, pair.frame), (back.dual, pair.dual)):
             worst = max(worst, max_abs(np.array(got.elements) - np.array(want.elements)))
@@ -229,8 +229,8 @@ def test_criterion_08_frame_extraction_round_trip():
         right = random_complex_matrix(rng, k, d * d)
         deficient = left @ right
         labels = tuple(str(i) for i in range(d * d + 1))
-        cp = ChiPhi(deficient, np.linalg.pinv(deficient), d, labels)
-        false_positives += int(frames_from_chi_phi(cp, validate=False).frame.is_spanning())
+        slot = SystemSlot(labels, deficient, np.linalg.pinv(deficient))
+        false_positives += int(slot.to_pair(d, validate=False).frame.is_spanning())
     assert false_positives == 0
     report(8, f"20 extractions exact ({worst:.2e}); 20 deficient maps all flagged")
 

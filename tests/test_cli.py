@@ -395,6 +395,9 @@ class TestCoherence:
         (["audit", "--trials", "2", "--frame-file"],
          {**QUBIT_FRAME, "dual": [{**QUBIT_FRAME["dual"][0], "re": [True, 0, 0, 0]},
                                   *QUBIT_FRAME["dual"][1:]]}, "malformed matrix"),
+        # a report or KD table names each element by its label
+        (["audit", "--system", "quantum:2", "--frame-file"], {**QUBIT_FRAME, "labels": ["a"] * 8},
+         "labels must be distinct"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -408,7 +411,7 @@ class TestCoherence:
          "kd-state-wrong-types", "kd-state-string-rows", "kd-state-float-cols",
          "kd-state-string-entry", "kd-state-boolean-entry", "frame-non-string-labels",
          "frame-labels-string", "frame-string-d", "frame-element-string-rows",
-         "frame-dual-boolean-entry"],
+         "frame-dual-boolean-entry", "frame-repeated-labels"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:
@@ -456,12 +459,19 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_integral_config_values_are_accepted(tmp_path):
+def test_integral_config_values_are_accepted(tmp_path, capsys):
+    # config numbers follow the matrix records: only a JSON integer is an
+    # integer, and nothing is converted; a string of dims is still parsed
     path = tmp_path / "cfg.json"
     out = tmp_path / "report.json"
     path.write_text(json.dumps({"dims": ["2", 3.0], "trials": 2.0, "seed": "4", "out": str(out)}))
-    assert main(["coherence", "--config", str(path)]) == EXIT_OK
-    assert json.loads(out.read_text())["seed"] == 4
+    assert main(["coherence", "--config", str(path)]) == EXIT_CONSTRUCTION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+    for dims in ([2, 3], "2,3,2"):
+        path.write_text(json.dumps({"dims": dims, "trials": 2, "seed": 4, "out": str(out)}))
+        assert main(["coherence", "--config", str(path)]) == EXIT_OK
+        assert json.loads(out.read_text())["seed"] == 4
 
 
 _NOT_A_NUMBER = st.one_of(

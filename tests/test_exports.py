@@ -1,7 +1,7 @@
 """Every exported name resolves, and the benchmark tracer still binds to the package.
 
 Deleting a public or traced name must fail here, not only in a traced
-benchmark run.
+benchmark run.  No module outside ``structure`` reads a slot's matrices.
 """
 
 import ast
@@ -54,3 +54,15 @@ def test_tracer_installs_and_uninstalls():
     assert tracer.calls["frames.Channel"] == 1
     assert tracer.calls["linalg.numerical_rank"] == 1
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_slot_matrices_are_read_only_in_structure():
+    # every other module reads a representation through Representation.apply,
+    # so a second read path such as ``slot.rep @ x`` cannot come back
+    readers = []
+    for path in sorted((ROOT / "src" / "quasirep").glob("*.py")):
+        if path.name != "structure.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr in ("rep", "recon")]
+    assert readers == []

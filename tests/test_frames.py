@@ -25,7 +25,7 @@ from quasirep.frames import (
 )
 from quasirep.gpt import random_channel, random_density, random_effect
 from quasirep.linalg import max_abs, vectorize
-from quasirep.structure import ChiPhi, build_representation, frames_from_chi_phi
+from quasirep.structure import SystemSlot, build_representation
 
 from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex_matrix
 
@@ -95,8 +95,7 @@ def reconstruct(pair, mu):
 def frame_from_rows(m, d):
     """The frame whose conjugated vectorized elements are the rows of ``m``."""
     labels = tuple(str(i) for i in range(len(m)))
-    cp = ChiPhi(chi=m, phi=np.linalg.pinv(m), hilbert_dim=d, labels=labels)
-    return frames_from_chi_phi(cp, validate=False).frame
+    return SystemSlot(labels, m, np.linalg.pinv(m)).to_pair(d, validate=False).frame
 
 
 def frame_operator_oracle(frame):
@@ -159,6 +158,14 @@ class TestFrameStack:
         with pytest.raises(ValueError):
             frame.vec_matrix[0, 0] = 2
 
+    def test_repeated_labels_rejected(self):
+        # a report or KD table names each element by its label
+        with pytest.raises(DimensionError, match="distinct"):
+            Frame(PAULIS, labels=["a", "b", "a", "c"])
+        with pytest.raises(DimensionError, match="distinct"):
+            Frame(PAULIS, labels=[1, "1", 2, 3])  # labels are compared as strings
+        assert Frame(PAULIS, labels=["a", "b", "c", "d"]).labels == ("a", "b", "c", "d")
+
 
 class TestFrameOperator:
     def test_normalized_paulis_are_parseval(self):
@@ -195,7 +202,7 @@ class TestCanonicalDual:
         pair = canonical_dual(matrix_unit_frame())
         for f, g in zip(pair.frame.elements, pair.dual.elements):
             assert max_abs(f - g) <= 1e-12
-        assert pair.is_biorthogonal()
+        assert max_abs(represented(pair).id_image("s") - np.eye(4)) <= 1e-12
 
     def test_non_spanning_rejected(self):
         frame = Frame([np.eye(2, dtype=complex), SIGMA_Z])
@@ -357,7 +364,7 @@ class TestBornProbe:
 
 
 class TestFrameFromLinearMap:
-    """``frames_from_chi_phi`` turns the rows of a linear map into frame elements."""
+    """``SystemSlot.to_pair`` turns the rows of a linear map into frame elements."""
 
     def test_identity_map_gives_matrix_units(self):
         frame = frame_from_rows(np.eye(4), 2)

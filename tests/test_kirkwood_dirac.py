@@ -19,6 +19,11 @@ from quasirep.structure import audit_representation, build_representation
 from conftest import SIGMA_Y
 
 
+def id_image(pair):
+    """The identity image ``rep @ recon`` of a pair: its frame/dual overlap matrix."""
+    return build_representation({"kd": pair}).id_image("kd")
+
+
 def kd_oracle(basis_a, basis_b, rho):
     """Entry-by-entry direct evaluation of <a|rho|b><b|a>."""
     d = rho.shape[0]
@@ -102,12 +107,12 @@ class TestFramePair:
     def test_biorthogonality(self):
         kb = preset_bases("hadamard", 2)
         pair = kd_frame_pair(kb)
-        assert max_abs(pair.gram() - np.eye(4)) <= 1e-12
+        assert max_abs(id_image(pair) - np.eye(4)) <= 1e-12
 
     def test_biorthogonality_random_bases(self):
         for d, seed in ((2, 5), (3, 6)):
             pair = kd_frame_pair(random_faithful_bases(d, seed=seed))
-            assert max_abs(pair.gram() - np.eye(d * d)) <= 1e-12
+            assert max_abs(id_image(pair) - np.eye(d * d)) <= 1e-12
 
     def test_identical_bases_rejected(self):
         kb = preset_bases("computational", 2)

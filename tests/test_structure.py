@@ -37,7 +37,6 @@ from quasirep.structure import (
     extract_chi,
     extract_chi_phi,
     extract_phi,
-    frames_from_chi_phi,
     split_idempotent,
     splitting_isomorphism,
     verify_decomposition,
@@ -335,8 +334,23 @@ class TestExtractPhi:
 
     def test_chi_phi_bundle_validates(self, qutrit):
         rep, _ = kd_rep(qutrit, seed=2)
-        cp = extract_chi_phi(rep, qutrit)
-        assert cp.hilbert_dim == 3 and cp.chi.shape == (9, 9)
+        slot = extract_chi_phi(rep, qutrit)
+        assert slot.coord_dim == 9 and slot.labels == rep.slot(qutrit.label).labels
+
+    def test_mixed_frames_slot_is_not_injective(self, qubit, rng):
+        # one frame's state side against another frame's dual: phi @ chi != I
+        first, second = (canonical_dual(random_frame(2, 4, rng)) for _ in range(2))
+        mixed = SystemSlot.from_pair(DualPair(first.frame, second.dual, validate=False))
+        rep = Representation({qubit.label: mixed}, validate=False)
+        with pytest.raises(InjectivityError, match="left inverse"):
+            extract_chi_phi(rep, qubit)
+
+    def test_classical_slot_is_not_a_qubit_pair(self):
+        # four coordinates are d**2 for d = 2, but a classical:4 slot has no d
+        bits = make_system("classical", 4)
+        slot = extract_chi_phi(Representation({bits.label: SystemSlot.classical(4)}), bits)
+        with pytest.raises(DimensionError, match="16"):
+            slot.to_pair(4)
 
 
 class TestSplitIdempotent:
@@ -663,10 +677,11 @@ class TestAudit:
 
 
 class TestFramesFromChiPhi:
+    """``SystemSlot.to_pair`` recovers the frame/dual pair of an extracted ``(chi, phi)`` slot."""
+
     def test_round_trip(self, qubit, rng):
         rep, pair = overcomplete_rep(qubit, rng)
-        cp = extract_chi_phi(rep, qubit)
-        back = frames_from_chi_phi(cp)
+        back = extract_chi_phi(rep, qubit).to_pair(qubit.dim)
         for got, want in zip(back.frame.elements, pair.frame.elements):
             assert max_abs(got - want) <= 1e-10
         for got, want in zip(back.dual.elements, pair.dual.elements):
@@ -674,16 +689,66 @@ class TestFramesFromChiPhi:
 
     def test_gram_matches_chi_phi(self, qubit, rng):
         rep, _ = overcomplete_rep(qubit, rng, extra=2)
-        cp = extract_chi_phi(rep, qubit)
-        back = frames_from_chi_phi(cp)
-        # independent Gram computation reproduces the idempotent
+        slot = extract_chi_phi(rep, qubit)
+        back = slot.to_pair(qubit.dim)
+        # independent Gram computation reproduces the idempotent chi @ phi
         gram = np.array([
             [np.trace(f.conj().T @ g) for g in back.dual.elements]
             for f in back.frame.elements
         ])
-        assert max_abs(gram - cp.chi @ cp.phi) <= 1e-9
+        chi_phi = Representation({"s": slot}, validate=False).id_image("s")
+        assert max_abs(gram - chi_phi) <= 1e-9
 
     def test_functorial_case_biorthogonal(self, qubit):
         rep, _ = kd_rep(qubit)
-        back = frames_from_chi_phi(extract_chi_phi(rep, qubit))
-        assert back.is_biorthogonal()
+        back = extract_chi_phi(rep, qubit).to_pair(qubit.dim)
+        assert max_abs(build_representation({"s": back}).id_image("s") - np.eye(4)) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_pair_and_slot_round_trip_exactly(self, d, extra, canonical, seed):
+        rng = np.random.default_rng(seed)
+        frame = random_frame(d, d * d + extra, rng)
+        if canonical:
+            pair = canonical_dual(frame)
+        else:
+            pair = DualPair(frame, random_frame(d, d * d + extra, rng), validate=False)
+        slot = SystemSlot.from_pair(pair)
+        again = SystemSlot.from_pair(slot.to_pair(d, validate=False))
+        assert np.array_equal(again.rep, slot.rep) and np.array_equal(again.recon, slot.recon)
+        back = SystemSlot.from_pair(pair).to_pair(d, validate=canonical)
+        assert np.array_equal(np.array(back.frame.elements), np.array(pair.frame.elements))
+        assert np.array_equal(np.array(back.dual.elements), np.array(pair.dual.elements))
+        assert back.labels == pair.labels
+
+
+class TestNonIdempotentErrorNamesItsObject:
+    """Every ``D @ D = D`` check reports what it checked."""
+
+    @staticmethod
+    def near_inverse_slot():
+        # recon inverts rep to 1e-10, but a 1e4 column off rep's range
+        # turns that gap into a 1e-6 idempotency residual
+        rep = np.vstack([np.eye(4), np.zeros((1, 4))])
+        recon = np.hstack([np.eye(4) * (1 + 1e-10), np.full((4, 1), 1e4)])
+        return SystemSlot("abcde", rep, recon)
+
+    def test_representation_names_the_system(self, qubit):
+        with pytest.raises(NonIdempotentError, match="identity image on system 'quantum-2'"):
+            Representation({qubit.label: self.near_inverse_slot()})
+
+    def test_overflowing_identity_image_fails(self):
+        # D = 1e400 I overflows, and D @ D - D is NaN: that is no pass
+        huge = SystemSlot("ab", np.eye(2) * 1e200, np.eye(2) * 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonIdempotentError, match="'s' is not idempotent .residual nan"):
+            Representation({"s": huge})
+
+    def test_split_idempotent_names_the_matrix(self, rng):
+        with pytest.raises(NonIdempotentError, match="^matrix is not idempotent"):
+            split_idempotent(random_complex_matrix(rng, 3))
+
+    def test_extraction_names_chi_phi(self, qubit):
+        rep = Representation({qubit.label: self.near_inverse_slot()}, validate=False)
+        with pytest.raises(NonIdempotentError, match=r"^chi @ phi is not idempotent"):
+            extract_chi_phi(rep, qubit)

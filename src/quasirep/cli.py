@@ -135,23 +135,22 @@ def run_kd_table(cfg: dict) -> int:
 def _parse_system_spec(spec) -> tuple[str, int]:
     if isinstance(spec, str):
         kind, _, dim = spec.partition(":")
-        if kind in ("quantum", "classical") and dim.isdigit():
+        if dim.isdigit():
             return kind, int(dim)
     raise ValueError(f"bad system spec {spec!r}; expected e.g. 'quantum:2'")
 
 
 def _audit_slot(entry: dict, sys) -> SystemSlot:
-    """Slot for one audited system: a frame file or a bases preset."""
+    """Slot for one audited system: a frame file, a bases preset or the identity."""
     if "frame-file" in entry:
-        if not sys.is_quantum:
+        if sys.dim is None:
             raise ValueError(f"frame files need a quantum system, not {sys.label}")
         loaded = frame_from_json(_load_json(entry["frame-file"]))
         pair = loaded if isinstance(loaded, DualPair) else canonical_dual(loaded)
         return SystemSlot.from_pair(pair)
-    if sys.is_quantum:
-        kb = _build_bases(entry, sys.dim)
-        return SystemSlot.from_pair(kd_frame_pair(kb))
-    return SystemSlot.classical(sys.dim)
+    if sys.dim is None:
+        return SystemSlot.identity(sys.real_dim)
+    return SystemSlot.from_pair(kd_frame_pair(_build_bases(entry, sys.dim)))
 
 
 def run_audit(cfg: dict) -> int:

@@ -1,14 +1,8 @@
 """Minimal generalized-probabilistic-theory systems and their tomography.
 
-Two kinds of system are bundled:
-
-* ``quantum`` with Hilbert dimension ``d``: the real space of self-adjoint
-  ``d x d`` operators, coordinatized in a fixed orthonormal Hermitian basis;
-  the spanning states are the standard tomography family of pure states, the
-  effects reuse the same operators as functionals and the deterministic
-  effect is the trace.
-* ``classical`` with ``n`` outcomes: ``R^n`` with the delta-distribution
-  basis, indicator effects and the all-ones deterministic effect.
+A system is data: a :class:`GptSystem` record, built by its theory's
+constructor in the ``_THEORIES`` table.  :func:`make_system` looks a theory
+up by name, and no other module knows the theory names.
 
 Each system stores the coefficients ``t`` of a resolution of the identity
 ``sum_ij t_ij s_i e_j = id``, and any process between systems decomposes as
@@ -102,54 +96,34 @@ def _tomography_states(d: int) -> list[np.ndarray]:
     return states
 
 
+@dataclass(eq=False)
 class GptSystem:
     """A system of a tomographically-local theory in fixed coordinates.
 
     Attributes:
-        kind: ``"quantum"`` or ``"classical"``.
-        dim: Hilbert dimension ``d`` or outcome count ``n``.
-        real_dim: dimension of the system's real vector space.
+        label: the system's name in a representation.
         states: spanning states as rows of a real matrix.
         effects: spanning effects as rows of a real matrix.
         u: deterministic-effect covector.
-        t: identity-resolution coefficients.
-        iso: unitary map from real to complex coordinates, defined for both
-            kinds: onto vectorized operators (quantum), the identity (classical).
+        iso: unitary map from real to complex coordinates.
+        dim: Hilbert dimension channels act on, ``None`` without a Hilbert space.
+        real_dim: dimension of the real space, ``states.shape[1]``.
+        t: identity-resolution coefficients, derived from the rest.
     """
 
-    def __init__(self, kind: str, dim: int, seed: int = 0, label: str | None = None):
-        if dim < 1:
-            raise DimensionError("system dimension must be >= 1")
-        if kind == "quantum" and dim > MAX_QUANTUM_DIM:
-            raise DimensionError(f"quantum systems support d <= {MAX_QUANTUM_DIM}")
-        # the real-dimension ceiling of quantum systems
-        if kind == "classical" and dim > MAX_QUANTUM_DIM**2:
-            raise DimensionError(f"classical systems support n <= {MAX_QUANTUM_DIM**2}")
-        if kind not in ("quantum", "classical"):
-            raise ValueError(f"unknown system kind {kind!r}")
-        self.kind = kind
-        self.dim = dim
-        self.seed = seed
-        self.label = label if label is not None else f"{kind}-{dim}"
-        if kind == "quantum":
-            self.real_dim = dim**2
-            self.iso = _basis_isomorphism(dim)
-            ops = np.array(_tomography_states(dim))
-            coords = self.iso.conj().T @ ops.reshape(len(ops), -1).T
-            self.states = coords.T.real.copy()
-            self.effects = self.states.copy()
-            self.u = operator_to_coords(np.eye(dim), self.iso)
-        else:
-            self.real_dim = dim
-            self.iso = np.eye(dim, dtype=complex)
-            self.states = np.eye(dim)
-            self.effects = np.eye(dim)
-            self.u = np.ones(dim)
+    label: str
+    states: np.ndarray
+    effects: np.ndarray
+    u: np.ndarray
+    iso: np.ndarray
+    dim: int | None = None
+
+    def __post_init__(self) -> None:
         self.t = identity_resolution(self)
 
     @property
-    def is_quantum(self) -> bool:
-        return self.kind == "quantum"
+    def real_dim(self) -> int:
+        return self.states.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +146,39 @@ class GptProcess:
         object.__setattr__(self, "matrix", m)
 
 
-def make_system(kind: str, dim: int, seed: int = 0, label: str | None = None) -> GptSystem:
-    """Construct a bundled system; see :class:`GptSystem` for the content.
+def _quantum(d: int, label: str) -> GptSystem:
+    """Quantum system on ``C^d``: the real space of self-adjoint ``d x d``
+    operators in the fixed orthonormal Hermitian basis.  The spanning states
+    are the tomography family of pure states, the effects reuse the same
+    operators as functionals and the deterministic effect is the trace."""
+    if d > MAX_QUANTUM_DIM:
+        raise DimensionError(f"quantum systems support d <= {MAX_QUANTUM_DIM}")
+    iso = _basis_isomorphism(d)
+    ops = np.array(_tomography_states(d))
+    states = (iso.conj().T @ ops.reshape(len(ops), -1).T).T.real.copy()
+    return GptSystem(label, states, states.copy(), operator_to_coords(np.eye(d), iso), iso, d)
 
-    The spanning families are fixed deterministic constructions; ``seed``
-    only rides along in the descriptor for reproducible configs.
-    """
-    return GptSystem(kind, dim, seed=seed, label=label)
+
+def _classical(n: int, label: str) -> GptSystem:
+    """Classical system with ``n`` outcomes: ``R^n`` with the delta states,
+    indicator effects and the all-ones deterministic effect; no Hilbert space."""
+    # the real-dimension ceiling of quantum systems
+    if n > MAX_QUANTUM_DIM**2:
+        raise DimensionError(f"classical systems support n <= {MAX_QUANTUM_DIM**2}")
+    return GptSystem(label, np.eye(n), np.eye(n), np.ones(n), np.eye(n, dtype=complex))
+
+
+_THEORIES = {"quantum": _quantum, "classical": _classical}
+
+
+def make_system(kind: str, dim: int, seed: int = 0, label: str | None = None) -> GptSystem:
+    """The system of theory ``kind`` and size ``dim``, labelled ``kind-dim``
+    by default; ``seed`` is accepted and unused."""
+    if kind not in _THEORIES:
+        raise ValueError(f"unknown system kind {kind!r}; known kinds: {', '.join(_THEORIES)}")
+    if dim < 1:
+        raise DimensionError("system dimension must be >= 1")
+    return _THEORIES[kind](dim, label if label is not None else f"{kind}-{dim}")
 
 
 def identity_resolution(sys: GptSystem) -> np.ndarray:
@@ -264,7 +264,7 @@ def process_matrices(superops, source: GptSystem, target: GptSystem) -> np.ndarr
     matrices are real; a residual imaginary part above ``COORDS_ATOL`` is an
     error.
     """
-    if not (source.is_quantum and target.is_quantum):
+    if source.dim is None or target.dim is None:
         raise DimensionError("channel_to_process needs quantum systems")
     if np.shape(superops)[-2:] != (target.dim**2, source.dim**2):
         raise DimensionError("channel dimensions do not match the systems")

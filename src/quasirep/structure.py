@@ -2,8 +2,8 @@
 
 A :class:`Representation` assigns to each system an index set and a pair of
 matrices: a state side mapping coordinates to coefficient vectors and an
-effect side mapping coefficients back.  For quantum systems both come from a
-frame/dual pair; the classical delta-basis assignment uses identity slots.
+effect side mapping coefficients back.  A frame/dual pair gives both
+(:meth:`SystemSlot.from_pair`); a delta basis is :meth:`SystemSlot.identity`.
 Everything reads a representation through :meth:`Representation.apply`,
 states and effects being processes from and to the trivial system ``None``.
 
@@ -110,7 +110,8 @@ class SystemSlot:
         return DualPair(frame, dual, validate=validate)
 
     @classmethod
-    def classical(cls, n: int) -> "SystemSlot":
+    def identity(cls, n: int) -> "SystemSlot":
+        """The slot whose two maps are the identity on ``n`` coordinates."""
         eye = np.eye(n, dtype=complex)
         return cls([str(i) for i in range(n)], eye, eye)
 
@@ -196,7 +197,7 @@ def _complexified_state_coords(sys: GptSystem) -> np.ndarray:
 
 
 def _complexified_effect_rows(sys: GptSystem, effects: np.ndarray) -> np.ndarray:
-    """Rows: real effect covectors on complex coordinates (``vec(E.T)`` for quantum)."""
+    """Rows: real effect covectors on complex coordinates (``vec(E.T)`` for an operator ``E``)."""
     return effects @ sys.iso.conj().T
 
 
@@ -254,7 +255,7 @@ def extract_chi_phi(rep: Representation, sys: GptSystem) -> SystemSlot:
     chi = extract_chi(rep, sys)
     phi = extract_phi(rep, sys, chi)
     left = max_abs(phi @ chi - np.eye(chi.shape[1]))
-    if left > SEMIFUNCTORIAL_ATOL:
+    if not left <= SEMIFUNCTORIAL_ATOL:
         raise InjectivityError(f"phi is not a left inverse of chi (residual {left:.3e})")
     _check_idempotent(chi @ phi, "chi @ phi")
     return SystemSlot(rep.slot(sys.label).labels, chi, phi)
@@ -295,7 +296,7 @@ def splitting_isomorphism(
     if i1.shape[0] != i2.shape[0]:
         raise DimensionError("splittings act on different spaces")
     gap = max_abs(i1 @ p1 - i2 @ p2)
-    if gap > SEMIFUNCTORIAL_ATOL:
+    if not gap <= SEMIFUNCTORIAL_ATOL:
         raise SplittingMismatchError(f"factorizations split different idempotents (gap {gap:.3e})")
     xi = p2 @ i1
     checks = (
@@ -303,8 +304,8 @@ def splitting_isomorphism(
         max_abs(xi @ p1 - p2),
         max_abs(xi @ (p1 @ i2) - np.eye(xi.shape[0])),
     )
-    worst = max(checks)
-    if worst > SEMIFUNCTORIAL_ATOL:
+    worst = max_abs(checks)  # NaN-propagating, unlike Python's max
+    if not worst <= SEMIFUNCTORIAL_ATOL:
         raise SplittingMismatchError(f"intertwining identities fail (residual {worst:.3e})")
     return xi
 
@@ -402,7 +403,7 @@ def _rows(rng, count: int, shapes: list, uniform: bool = False) -> list[np.ndarr
 
 
 def _audit_block(
-    rep: Representation, quantum: list[GptSystem], roles: list, count: int
+    rep: Representation, sampled: list[GptSystem], roles: list, count: int
 ) -> tuple[float, float, float]:
     """Semi-functoriality, adequacy and linearity residuals over a block of trials.
 
@@ -416,7 +417,7 @@ def _audit_block(
     """
     roles = iter(roles)
     semif = adequacy = linearity = 0.0
-    for a, b, c in itertools.product(quantum, repeat=3):
+    for a, b, c in itertools.product(sampled, repeat=3):
         shapes = [channel_block_shape(a.dim, b.dim), channel_block_shape(b.dim, c.dim)]
         n1, n2 = _rows(next(roles), count, shapes)
         s1 = channel_stack(random_kraus(a.dim, b.dim, n1))[0]
@@ -425,7 +426,7 @@ def _audit_block(
         product = rep.apply(b.label, c.label, s2) @ rep.apply(a.label, b.label, s1)
         semif = np.maximum(semif, max_abs(whole - product))
 
-    for sys in quantum:
+    for sys in sampled:
         rho_normals, eff_normals = _rows(next(roles), count, [(2, sys.dim, sys.dim)] * 2)
         rho = density_stack(rho_normals)
         eff = effect_stack(eff_normals, _rows(next(roles), count, [(sys.dim,)], uniform=True)[0])
@@ -436,7 +437,7 @@ def _audit_block(
         # hypot is the scalar complex abs; the array abs may differ in the last bit
         adequacy = np.maximum(adequacy, np.hypot(gap.real, gap.imag).max())
 
-    for a, b in itertools.product(quantum, repeat=2):
+    for a, b in itertools.product(sampled, repeat=2):
         both = (2, *channel_block_shape(a.dim, b.dim))
         kraus = random_kraus(a.dim, b.dim, _rows(next(roles), count, [both])[0])
         w = _rows(next(roles), count, [(1, 1)], uniform=True)[0]
@@ -470,12 +471,12 @@ def audit_representation(
 
     Sampling contract (what makes a report a function of ``seed`` and
     ``trials`` alone, however the work is batched): every run of same-kind
-    draws is a *role* with a stream of its own.  With ``S`` quantum systems
-    the roles are, in this order:
+    draws is a *role* with a stream of its own.  With ``S`` sampled systems
+    (those with a Hilbert dimension ``dim``) the roles are, in this order:
 
-    1. for each triple ``(a, b, c)`` of quantum systems, in nested order,
+    1. for each triple ``(a, b, c)`` of sampled systems, in nested order,
        the normal blocks of ``T1: a -> b`` and ``T2: b -> c``;
-    2. for each quantum system, the state and effect normals (two ``(2, d,
+    2. for each sampled system, the state and effect normals (two ``(2, d,
        d)`` blocks), then the effect weights (``d`` uniforms);
     3. for each pair ``(a, b)``, the normal blocks of the two channels, then
        the weight ``w`` (one uniform);
@@ -507,18 +508,18 @@ def audit_representation(
                 f"slot of system {sys.label!r} acts on {coord_dim} coordinates, "
                 f"the system has {sys.real_dim}"
             )
-    quantum = [s for s in systems if s.is_quantum]
-    pairs = list(itertools.product(quantum, repeat=2))
+    sampled = [s for s in systems if s.dim is not None]
+    pairs = list(itertools.product(sampled, repeat=2))
     # one generator per role, in contract order; the decomposition's come last
-    n_trial_roles = len(quantum) ** 3 + 2 * len(quantum) + 2 * len(pairs)
+    n_trial_roles = len(sampled) ** 3 + 2 * len(sampled) + 2 * len(pairs)
     roles = [np.random.default_rng(child)
              for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
 
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = np.zeros(3)
-        for start in range(0, trials if quantum else 0, AUDIT_BLOCK_TRIALS):
+        for start in range(0, trials if sampled else 0, AUDIT_BLOCK_TRIALS):
             count = min(AUDIT_BLOCK_TRIALS, trials - start)
-            residuals = np.maximum(residuals, _audit_block(rep, quantum, roles, count))
+            residuals = np.maximum(residuals, _audit_block(rep, sampled, roles, count))
 
         chis = {s.label: extract_chi(rep, s) for s in systems}
         discard = np.max([_discard_residual(s, chis[s.label]) for s in systems], initial=0.0)
@@ -535,7 +536,7 @@ def audit_representation(
         dim_ok = len(phis) == len(systems)
 
         decomposition = 0.0
-        if any(s.label not in phis for s in quantum):
+        if any(s.label not in phis for s in sampled):
             decomposition = float("inf")
         else:
             count = max(1, trials // 4)

@@ -398,6 +398,12 @@ class TestCoherence:
         # a report or KD table names each element by its label
         (["audit", "--system", "quantum:2", "--frame-file"], {**QUBIT_FRAME, "labels": ["a"] * 8},
          "labels must be distinct"),
+        # a system spec names a theory of gpt's table and a size within its bound
+        (["audit", "--system", "qubit:2"], None, "'qubit'; known kinds: quantum, classical"),
+        (["audit", "--system", "boxworld:2"], None, "'boxworld'"),
+        (["audit", "--system", "quantum:0"], None, ">= 1"),
+        (["audit", "--system", "quantum:9"], None, "d <= 8"),
+        (["audit", "--system", "classical:0"], None, ">= 1"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -411,7 +417,8 @@ class TestCoherence:
          "kd-state-wrong-types", "kd-state-string-rows", "kd-state-float-cols",
          "kd-state-string-entry", "kd-state-boolean-entry", "frame-non-string-labels",
          "frame-labels-string", "frame-string-d", "frame-element-string-rows",
-         "frame-dual-boolean-entry", "frame-repeated-labels"],
+         "frame-dual-boolean-entry", "frame-repeated-labels", "unknown-kind-qubit",
+         "unknown-kind-boxworld", "quantum-0", "quantum-9", "classical-0"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

@@ -66,3 +66,28 @@ def test_slot_matrices_are_read_only_in_structure():
             readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                         if isinstance(node, ast.Attribute) and node.attr in ("rep", "recon")]
     assert readers == []
+
+
+def _theory_tests(tree):
+    """Lines that read a theory attribute or compare with a theory name."""
+    names = {"quantum", "classical"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("kind", "is_quantum"):
+            yield node.lineno
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            # an ``in`` test against a tuple, list or set counts too
+            operands += [elt for op in operands if isinstance(op, (ast.Tuple, ast.List, ast.Set))
+                         for elt in op.elts]
+            if any(isinstance(op, ast.Constant) and op.value in names for op in operands):
+                yield node.lineno
+
+
+def test_theory_names_are_known_only_to_gpt():
+    # a new theory is one constructor in gpt's table, not a branch in every module
+    found = []
+    for path in sorted((ROOT / "src" / "quasirep").glob("*.py")):
+        if path.name != "gpt.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{line}" for line in _theory_tests(tree)]
+    assert found == []

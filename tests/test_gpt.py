@@ -76,7 +76,7 @@ class TestMakeSystem:
             make_system("classical", 65)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'boxworld'; known kinds: quantum, classical"):
             make_system("boxworld", 2)
 
 

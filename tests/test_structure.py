@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasirep import gpt, structure
+from quasirep import GptSystem, gpt, structure
 from quasirep.errors import (
     DimensionError,
     InjectivityError,
@@ -79,7 +79,7 @@ def _qubit_and_qutrit():
 def _reference_report(rep, systems, trials, seed):
     """The audit's sampling contract rebuilt with no batching: trial by trial,
     each item drawn by its own call to its role's generator."""
-    quantum = [s for s in systems if s.is_quantum]
+    quantum = [s for s in systems if s.dim is not None]
     triples = list(itertools.product(quantum, repeat=3))
     pairs = list(itertools.product(quantum, repeat=2))
     n_trial_roles = len(triples) + 2 * len(quantum) + 2 * len(pairs)
@@ -263,7 +263,7 @@ class TestMatrixSlots:
 
     def test_classical_effect_side(self):
         sys3 = make_system("classical", 3)
-        rep = Representation({sys3.label: SystemSlot.classical(3)})
+        rep = Representation({sys3.label: SystemSlot.identity(3)})
         assert max_abs(effect_sum_phi(rep, sys3) - np.eye(3)) <= 1e-12
         assert max_abs(extract_phi(rep, sys3) - np.eye(3)) <= 1e-12
         assert _discard_residual(sys3, extract_chi(rep, sys3)) <= 1e-12
@@ -288,7 +288,7 @@ class TestExtractChi:
 
     def test_classical_delta_is_identity(self):
         sys4 = make_system("classical", 4)
-        rep = Representation({sys4.label: SystemSlot.classical(4)})
+        rep = Representation({sys4.label: SystemSlot.identity(4)})
         assert max_abs(extract_chi(rep, sys4) - np.eye(4)) <= 1e-12
 
     def test_maps_states_correctly(self, qutrit, rng):
@@ -345,10 +345,19 @@ class TestExtractPhi:
         with pytest.raises(InjectivityError, match="left inverse"):
             extract_chi_phi(rep, qubit)
 
+    def test_overflowing_left_inverse_is_not_injective(self):
+        # phi = D = 1e400 I overflows, so phi @ chi holds inf * 0 = NaN: no left inverse
+        bits = make_system("classical", 2)
+        huge = SystemSlot("ab", np.eye(2) * 1e200, np.eye(2) * 1e200)
+        rep = Representation({bits.label: huge}, validate=False)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InjectivityError, match="left inverse of chi .residual nan"):
+            extract_chi_phi(rep, bits)
+
     def test_classical_slot_is_not_a_qubit_pair(self):
         # four coordinates are d**2 for d = 2, but a classical:4 slot has no d
         bits = make_system("classical", 4)
-        slot = extract_chi_phi(Representation({bits.label: SystemSlot.classical(4)}), bits)
+        slot = extract_chi_phi(Representation({bits.label: SystemSlot.identity(4)}), bits)
         with pytest.raises(DimensionError, match="16"):
             slot.to_pair(4)
 
@@ -397,6 +406,13 @@ class TestSplittingIsomorphism:
         s2 = split_idempotent(np.diag([0.0, 1.0]))
         with pytest.raises(SplittingMismatchError):
             splitting_isomorphism(s1, s2)
+
+    def test_overflowing_gap_is_a_mismatch(self):
+        # 1e300 * 1e300 overflows, so the gap inf - inf is NaN: that is no match
+        same = ([[1e300]], [[1e300]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SplittingMismatchError, match="split different idempotents .gap nan"):
+            splitting_isomorphism(same, same)
 
     def test_intertwining_identities(self, rng):
         for trial in range(10):
@@ -524,7 +540,7 @@ class TestAudit:
         bits = make_system("classical", 2)
         rep = Representation({
             qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
-            bits.label: SystemSlot.classical(2),
+            bits.label: SystemSlot.identity(2),
             qutrit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(3, seed=5))),
         })
         systems = [qubit, bits, qutrit]
@@ -575,7 +591,7 @@ class TestAudit:
         rep = Representation({
             qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
             qutrit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(3, seed=5))),
-            bits.label: SystemSlot.classical(2),
+            bits.label: SystemSlot.identity(2),
         })
         calls = []
 
@@ -752,3 +768,42 @@ class TestNonIdempotentErrorNamesItsObject:
         rep = Representation({qubit.label: self.near_inverse_slot()}, validate=False)
         with pytest.raises(NonIdempotentError, match=r"^chi @ phi is not idempotent"):
             extract_chi_phi(rep, qubit)
+
+
+class TestToyTheory:
+    """A theory the package does not bundle, built as data through the public
+    API: the triangle, with its vertices as states and its facets as effects."""
+
+    @staticmethod
+    def triangle():
+        angles = 2 * np.pi * np.arange(3) / 3
+        states = np.column_stack([np.cos(angles), np.sin(angles), np.ones(3)])
+        # facet effect j is 1 on vertex j and 0 on the others: E @ S.T = I
+        effects = np.linalg.inv(states.T)
+        return GptSystem("triangle", states, effects, np.array([0.0, 0.0, 1.0]), np.eye(3))
+
+    def test_facet_representation_audits(self):
+        tri = self.triangle()
+        assert tri.dim is None and tri.real_dim == 3
+        slot = SystemSlot("abc", tri.effects, np.linalg.pinv(tri.effects))
+        report = audit_representation(Representation({tri.label: slot}), [tri], trials=5)
+        assert report.passes() and report.functorial and report.dim_check
+        assert report.discard_preserving and report.discard_residual <= 1e-12
+
+    def test_corrupted_reconstruction_is_caught(self, rng):
+        tri = self.triangle()
+        slot = SystemSlot("abc", tri.effects, rng.standard_normal((3, 3)))
+        rep = Representation({tri.label: slot}, validate=False)
+        assert not audit_representation(rep, [tri], trials=5).functorial
+        with pytest.raises(InjectivityError, match="left inverse"):
+            extract_chi_phi(rep, tri)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="systems without a Hilbert dimension have no process "
+                       "sampler, so their audits check no process (ROADMAP item 6)")
+    @pytest.mark.parametrize("kind", ["triangle", "classical"])
+    def test_corrupted_reconstruction_fails_the_audit(self, kind, rng):
+        system = self.triangle() if kind == "triangle" else make_system("classical", 3)
+        slot = SystemSlot("abc", system.effects, rng.standard_normal((3, 3)))
+        rep = Representation({system.label: slot}, validate=False)
+        assert not audit_representation(rep, [system], trials=5).passes()

@@ -264,8 +264,9 @@ def process_matrices(superops, source: GptSystem, target: GptSystem) -> np.ndarr
     matrices are real; a residual imaginary part above ``COORDS_ATOL`` is an
     error.
     """
-    if source.dim is None or target.dim is None:
-        raise DimensionError("channel_to_process needs quantum systems")
+    for sys in (source, target):
+        if sys.dim is None:
+            raise DimensionError(f"system {sys.label!r} has no Hilbert dimension")
     if np.shape(superops)[-2:] != (target.dim**2, source.dim**2):
         raise DimensionError("channel dimensions do not match the systems")
     m = target.iso.conj().T @ superops @ source.iso

@@ -409,23 +409,13 @@ def _audit_block(
 
     ``roles`` holds the role streams in contract order (see
     :func:`audit_representation`); the block reads the next ``count`` rows
-    of each trial role, one generator call per role.  A channel role is
-    built for the whole block as one stack (a pair's two channels as one
-    ``(B, 2, ...)`` stack), and each residual is taken over stacked
-    products; only one triple's or pair's stacks are alive at a time.
-    Residuals fold with a NaN-propagating maximum.
+    of each trial role, one generator call per role.  Each pair's two
+    channels are built and represented once, as one ``(2 count, ...)``
+    stack that every triple through the pair reuses, so all pairs' stacks
+    are alive at once.  Residuals fold with a NaN-propagating maximum.
     """
     roles = iter(roles)
     semif = adequacy = linearity = 0.0
-    for a, b, c in itertools.product(sampled, repeat=3):
-        shapes = [channel_block_shape(a.dim, b.dim), channel_block_shape(b.dim, c.dim)]
-        n1, n2 = _rows(next(roles), count, shapes)
-        s1 = channel_stack(random_kraus(a.dim, b.dim, n1))[0]
-        s2 = channel_stack(random_kraus(b.dim, c.dim, n2))[0]
-        whole = rep.apply(a.label, c.label, s2 @ s1)
-        product = rep.apply(b.label, c.label, s2) @ rep.apply(a.label, b.label, s1)
-        semif = np.maximum(semif, max_abs(whole - product))
-
     for sys in sampled:
         rho_normals, eff_normals = _rows(next(roles), count, [(2, sys.dim, sys.dim)] * 2)
         rho = density_stack(rho_normals)
@@ -437,18 +427,27 @@ def _audit_block(
         # hypot is the scalar complex abs; the array abs may differ in the last bit
         adequacy = np.maximum(adequacy, np.hypot(gap.real, gap.imag).max())
 
+    superops, gammas = {}, {}
     for a, b in itertools.product(sampled, repeat=2):
         both = (2, *channel_block_shape(a.dim, b.dim))
         kraus = random_kraus(a.dim, b.dim, _rows(next(roles), count, [both])[0])
         w = _rows(next(roles), count, [(1, 1)], uniform=True)[0]
-        superops = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
-        gamma = rep.apply(a.label, b.label, superops)
+        pair = a.label, b.label
+        superops[pair] = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
+        gammas[pair] = gamma = rep.apply(a.label, b.label, superops[pair])
         g1, g2 = gamma[0::2], gamma[1::2]
         # the mixture's Kraus family: sqrt(w) K1, then sqrt(1 - w) K2
         scales = np.sqrt(np.concatenate([w, 1 - w], axis=1))[..., None, None]
         mixture = (scales * kraus).reshape(count, -1, b.dim, a.dim)
         mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
         linearity = np.maximum(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
+
+    # T2, the second channel of (b, c), is independent of T1 even when a = b = c
+    for a, b, c in itertools.product(sampled, repeat=3):
+        first, second = (a.label, b.label), (b.label, c.label)
+        whole = rep.apply(a.label, c.label, superops[second][1::2] @ superops[first][0::2])
+        product = gammas[second][1::2] @ gammas[first][0::2]
+        semif = np.maximum(semif, max_abs(whole - product))
     return semif, adequacy, linearity
 
 
@@ -474,17 +473,16 @@ def audit_representation(
     draws is a *role* with a stream of its own.  With ``S`` sampled systems
     (those with a Hilbert dimension ``dim``) the roles are, in this order:
 
-    1. for each triple ``(a, b, c)`` of sampled systems, in nested order,
-       the normal blocks of ``T1: a -> b`` and ``T2: b -> c``;
-    2. for each sampled system, the state and effect normals (two ``(2, d,
+    1. for each sampled system, the state and effect normals (two ``(2, d,
        d)`` blocks), then the effect weights (``d`` uniforms);
-    3. for each pair ``(a, b)``, the normal blocks of the two channels, then
-       the weight ``w`` (one uniform);
-    4. for each pair ``(a, b)``, the decomposition channels.
+    2. for each pair ``(a, b)``, the normal blocks of its two channels, then
+       the weight ``w`` (one uniform); a triple ``(a, b, c)`` composes the
+       first channel ``T1`` of ``(a, b)`` with the second ``T2`` of ``(b, c)``;
+    3. for each pair ``(a, b)``, the decomposition channels.
 
     Role ``k`` reads ``default_rng(SeedSequence(seed).spawn(n)[k])``, where
-    ``n = S**3 + 2 S + 3 S**2`` whatever ``trials`` is.  Trial ``t`` takes
-    row ``t`` of each trial role (items 1-3), and the decomposition check
+    ``n = 3 S**2 + 2 S`` whatever ``trials`` is.  Trial ``t`` takes row
+    ``t`` of each trial role (items 1-2), and the decomposition check
     takes rows ``0 .. max(1, trials // 4) - 1`` of each pair's stream, one
     channel per row.  A channel ``d_in -> d_out`` is built by
     :func:`~quasirep.gpt.random_kraus` from one ``(2, d_out**2 * d_in,
@@ -492,8 +490,9 @@ def audit_representation(
     from each role's generator and discarding them; the next row is the
     trial's.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``, a
     block being one call per role; numpy fills rows in order and keeps no
-    state between calls, so the block size changes no number.  A residual
-    that overflows to NaN is reported as ``inf``, and its verdict is false.
+    state between calls, so the block size changes no number, and memory
+    grows with ``S**2`` but not with ``trials``.  A residual that overflows
+    to NaN is reported as ``inf``, and its verdict is false.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -511,7 +510,7 @@ def audit_representation(
     sampled = [s for s in systems if s.dim is not None]
     pairs = list(itertools.product(sampled, repeat=2))
     # one generator per role, in contract order; the decomposition's come last
-    n_trial_roles = len(sampled) ** 3 + 2 * len(sampled) + 2 * len(pairs)
+    n_trial_roles = 2 * len(sampled) + 2 * len(pairs)
     roles = [np.random.default_rng(child)
              for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
 

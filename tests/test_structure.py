@@ -80,9 +80,8 @@ def _reference_report(rep, systems, trials, seed):
     """The audit's sampling contract rebuilt with no batching: trial by trial,
     each item drawn by its own call to its role's generator."""
     quantum = [s for s in systems if s.dim is not None]
-    triples = list(itertools.product(quantum, repeat=3))
     pairs = list(itertools.product(quantum, repeat=2))
-    n_trial_roles = len(triples) + 2 * len(quantum) + 2 * len(pairs)
+    n_trial_roles = 2 * len(quantum) + 2 * len(pairs)
     roles = [np.random.default_rng(child)
              for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
 
@@ -93,13 +92,6 @@ def _reference_report(rep, systems, trials, seed):
     semif, adequacy, linearity = [0.0], [0.0], [0.0]
     for _ in range(trials):
         role = iter(roles)
-        for a, b, c in triples:
-            rng = next(role)
-            ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, b, c)
-            whole = rep.apply(a.label, c.label, ch2.superop @ ch1.superop)
-            product = (rep.apply(b.label, c.label, ch2.superop)
-                       @ rep.apply(a.label, b.label, ch1.superop))
-            semif.append(max_abs(whole - product))
         for sys in quantum:
             normals, weights = next(role), next(role)
             rho = random_density(sys.dim, normals)
@@ -109,14 +101,23 @@ def _reference_report(rep, systems, trials, seed):
             mu = slot.rep @ rho.reshape(-1, 1)
             xi = eff.reshape(1, -1).conj() @ slot.recon
             adequacy.append(abs((xi @ mu)[0, 0] - np.trace(eff @ rho)))
+        channels = {}
         for a, b in pairs:
             rng, weight = next(role), next(role)
             ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, a, b)
+            channels[a.label, b.label] = ch1, ch2
             w = weight.uniform(0, 1)
             mixed = Channel([*(np.sqrt(w) * ch1.kraus), *(np.sqrt(1 - w) * ch2.kraus)])
             weighted = (w * rep.apply(a.label, b.label, ch1.superop)
                         + (1 - w) * rep.apply(a.label, b.label, ch2.superop))
             linearity.append(max_abs(rep.apply(a.label, b.label, mixed.superop) - weighted))
+        # T1 is the first channel of pair (a, b), T2 the second of pair (b, c)
+        for a, b, c in itertools.product(quantum, repeat=3):
+            ch1, ch2 = channels[a.label, b.label][0], channels[b.label, c.label][1]
+            whole = rep.apply(a.label, c.label, ch2.superop @ ch1.superop)
+            product = (rep.apply(b.label, c.label, ch2.superop)
+                       @ rep.apply(a.label, b.label, ch1.superop))
+            semif.append(max_abs(whole - product))
 
     decomposition = [0.0] + [
         verify_decomposition(rep, a, b, [draw_channel(rng, a, b)])
@@ -461,6 +462,15 @@ class TestVerifyDecomposition:
         rhs = chi @ _complexified_process(ch.superop, qubit, qubit) @ phi_bad
         assert max_abs(lhs - rhs) > 1e-3
 
+    def test_system_without_dim_is_named(self, qubit):
+        # the error names the system with no Hilbert dimension, on either side
+        bits = make_system("classical", 4)
+        slots = {bits.label: SystemSlot.identity(4), qubit.label: kd_rep(qubit)[0].slot(qubit.label)}
+        rep = Representation(slots)
+        for sys_in, sys_out in ((bits, bits), (qubit, bits), (bits, qubit)):
+            with pytest.raises(DimensionError, match="'classical-4' has no Hilbert dimension"):
+                verify_decomposition(rep, sys_in, sys_out, [random_channel(2, 2)])
+
 
 class TestSemiFunctoriality:
     def test_composition_multiplicative(self, qubit, qutrit, rng):
@@ -579,8 +589,33 @@ class TestAudit:
         for trials in (1, AUDIT_BLOCK_TRIALS + 3, 4 * AUDIT_BLOCK_TRIALS + 4):
             built.clear()
             audit_representation(rep, [qubit, qutrit], trials=trials, seed=0)
-            # s**3 triples, two roles per system and per pair, one decomposition role per pair
-            assert built == ["default_rng"] * (s**3 + 2 * s + 3 * s**2)
+            # two roles per system and per pair, one decomposition role per pair
+            assert built == ["default_rng"] * (3 * s**2 + 2 * s)
+
+    @pytest.mark.parametrize("trials", [1, AUDIT_BLOCK_TRIALS + 3])
+    def test_builds_each_pair_stack_once_per_block(self, trials, monkeypatch):
+        # semi-functoriality composes the pair channels: per block, one Kraus
+        # draw and two superoperator stacks (channels and mixture) per pair,
+        # none per triple; the decomposition adds one of each per pair and chunk
+        rep, systems = _qubit_and_qutrit()
+        counts = {"random_kraus": 0, "channel_stack": 0}
+
+        def counting(name):
+            make = getattr(structure, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return make(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(structure, name, counting(name))
+        audit_representation(rep, systems, trials=trials, seed=0)
+        s = len(systems)
+        blocks = -(-trials // AUDIT_BLOCK_TRIALS)
+        chunks = -(-max(1, trials // 4) // AUDIT_BLOCK_TRIALS)
+        assert counts == {"random_kraus": blocks * s**2 + chunks * s**2,
+                          "channel_stack": blocks * 2 * s**2 + chunks * s**2}
 
     @pytest.mark.parametrize("trials", [1, 4 * AUDIT_BLOCK_TRIALS + 4])
     def test_draws_each_segment_in_one_generator_call(self, qubit, qutrit, trials, monkeypatch):
@@ -618,7 +653,7 @@ class TestAudit:
         s = 2
         blocks = -(-trials // AUDIT_BLOCK_TRIALS)
         chunks = -(-max(1, trials // 4) // AUDIT_BLOCK_TRIALS)
-        assert calls == [blocks] * (s**3 + 2 * s + 2 * s**2) + [chunks] * s**2
+        assert calls == [blocks] * (2 * s + 2 * s**2) + [chunks] * s**2
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 2**64 - 1))
@@ -686,6 +721,19 @@ class TestAudit:
             tracemalloc.start()
             try:
                 audit_representation(rep, [qubit], trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_memory_does_not_grow_with_trials_across_pairs(self):
+        # a block holds all four pairs' channel stacks at once, and no more
+        rep, systems = _qubit_and_qutrit()
+        peaks = []
+        for trials in (AUDIT_BLOCK_TRIALS, 10 * AUDIT_BLOCK_TRIALS):
+            tracemalloc.start()
+            try:
+                audit_representation(rep, systems, trials=trials, seed=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -96,7 +96,7 @@ def _tomography_states(d: int) -> list[np.ndarray]:
     return states
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GptSystem:
     """A system of a tomographically-local theory in fixed coordinates.
 
@@ -119,7 +119,7 @@ class GptSystem:
     dim: int | None = None
 
     def __post_init__(self) -> None:
-        self.t = identity_resolution(self)
+        object.__setattr__(self, "t", identity_resolution(self))
 
     @property
     def real_dim(self) -> int:

@@ -335,20 +335,10 @@ def verify_decomposition(
         return 0.0
     if len({m.shape for m in superops}) > 1:
         raise DimensionError("channels of different dimensions")
-    return _decomposition_residual(
-        rep, sys_in, sys_out, extract_chi(rep, sys_out), extract_phi(rep, sys_in), np.stack(superops)
-    )
-
-
-def _decomposition_residual(
-    rep: Representation, sys_in: GptSystem, sys_out: GptSystem,
-    chi_out: np.ndarray, phi_in: np.ndarray, superops: np.ndarray,
-) -> float:
-    """:func:`verify_decomposition` on a ``(B, out, in)`` superoperator stack,
-    with the extracted maps supplied."""
+    superops = np.stack(superops)
     lhs = rep.apply(sys_in.label, sys_out.label, superops)
-    rhs = chi_out @ _complexified_process(superops, sys_in, sys_out) @ phi_in
-    return max_abs(lhs - rhs)
+    chi_out, phi_in = extract_chi(rep, sys_out), extract_phi(rep, sys_in)
+    return max_abs(lhs - chi_out @ _complexified_process(superops, sys_in, sys_out) @ phi_in)
 
 
 @dataclass(frozen=True)
@@ -403,19 +393,23 @@ def _rows(rng, count: int, shapes: list, uniform: bool = False) -> list[np.ndarr
 
 
 def _audit_block(
-    rep: Representation, sampled: list[GptSystem], roles: list, count: int
-) -> tuple[float, float, float]:
-    """Semi-functoriality, adequacy and linearity residuals over a block of trials.
+    rep: Representation, sampled: list[GptSystem], roles: list, count: int,
+    maps: dict[str, tuple[np.ndarray, np.ndarray]], factored: int,
+) -> tuple[float, float, float, float]:
+    """Semi-functoriality, adequacy, linearity and decomposition residuals over a block.
 
     ``roles`` holds the role streams in contract order (see
     :func:`audit_representation`); the block reads the next ``count`` rows
     of each trial role, one generator call per role.  Each pair's two
     channels are built and represented once, as one ``(2 count, ...)``
     stack that every triple through the pair reuses, so all pairs' stacks
-    are alive at once.  Residuals fold with a NaN-propagating maximum.
+    are alive at once.  The first channel ``T1`` of each pair's first
+    ``factored`` trials is also factored as ``chi_out @ C(T1) @ phi_in``
+    through ``maps``, each system's ``(chi, phi)``.  Residuals fold with a
+    NaN-propagating maximum.
     """
     roles = iter(roles)
-    semif = adequacy = linearity = 0.0
+    semif = adequacy = linearity = decomposition = 0.0
     for sys in sampled:
         rho_normals, eff_normals = _rows(next(roles), count, [(2, sys.dim, sys.dim)] * 2)
         rho = density_stack(rho_normals)
@@ -441,6 +435,10 @@ def _audit_block(
         mixture = (scales * kraus).reshape(count, -1, b.dim, a.dim)
         mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
         linearity = np.maximum(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
+        if factored:
+            c1 = _complexified_process(superops[pair][0::2][:factored], a, b)
+            rhs = maps[b.label][0] @ c1 @ maps[a.label][1]
+            decomposition = np.maximum(decomposition, max_abs(g1[:factored] - rhs))
 
     # T2, the second channel of (b, c), is independent of T1 even when a = b = c
     for a, b, c in itertools.product(sampled, repeat=3):
@@ -448,7 +446,7 @@ def _audit_block(
         whole = rep.apply(a.label, c.label, superops[second][1::2] @ superops[first][0::2])
         product = gammas[second][1::2] @ gammas[first][0::2]
         semif = np.maximum(semif, max_abs(whole - product))
-    return semif, adequacy, linearity
+    return semif, adequacy, linearity, decomposition
 
 
 def audit_representation(
@@ -466,7 +464,9 @@ def audit_representation(
     Semi-functoriality represents the composed superoperator ``S2 @ S1``
     against ``Gamma(T2) @ Gamma(T1)``, which tests reconstruction on the
     intermediate system; linearity represents the mixture built from the
-    Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum.
+    Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum;
+    the factorization check compares ``Gamma(T1)`` with ``chi_out @ C(T1) @
+    phi_in``, ``C(T1)`` taken through real coordinates.
 
     Sampling contract (what makes a report a function of ``seed`` and
     ``trials`` alone, however the work is batched): every run of same-kind
@@ -477,22 +477,22 @@ def audit_representation(
        d)`` blocks), then the effect weights (``d`` uniforms);
     2. for each pair ``(a, b)``, the normal blocks of its two channels, then
        the weight ``w`` (one uniform); a triple ``(a, b, c)`` composes the
-       first channel ``T1`` of ``(a, b)`` with the second ``T2`` of ``(b, c)``;
-    3. for each pair ``(a, b)``, the decomposition channels.
+       first channel ``T1`` of ``(a, b)`` with the second ``T2`` of ``(b, c)``.
 
     Role ``k`` reads ``default_rng(SeedSequence(seed).spawn(n)[k])``, where
-    ``n = 3 S**2 + 2 S`` whatever ``trials`` is.  Trial ``t`` takes row
-    ``t`` of each trial role (items 1-2), and the decomposition check
-    takes rows ``0 .. max(1, trials // 4) - 1`` of each pair's stream, one
-    channel per row.  A channel ``d_in -> d_out`` is built by
-    :func:`~quasirep.gpt.random_kraus` from one ``(2, d_out**2 * d_in,
-    d_in)`` normal block.  Trial ``t`` is regenerated by drawing ``t`` rows
-    from each role's generator and discarding them; the next row is the
-    trial's.  Trials are evaluated in blocks of ``AUDIT_BLOCK_TRIALS``, a
-    block being one call per role; numpy fills rows in order and keeps no
-    state between calls, so the block size changes no number, and memory
-    grows with ``S**2`` but not with ``trials``.  A residual that overflows
-    to NaN is reported as ``inf``, and its verdict is false.
+    ``n = 2 S**2 + 2 S`` whatever ``trials`` is.  Trial ``t`` takes row
+    ``t`` of each role.  The factorization check factors ``T1`` of the
+    first ``max(1, trials // 4)`` trials and draws nothing of its own.  A
+    channel ``d_in -> d_out`` is built by :func:`~quasirep.gpt.random_kraus`
+    from one ``(2, d_out**2 * d_in, d_in)`` normal block.  Trial ``t`` is
+    regenerated by drawing ``t`` rows from each role's generator and
+    discarding them; the next row is the trial's.  Trials are evaluated in
+    blocks of ``AUDIT_BLOCK_TRIALS``, a block being one call per role; numpy
+    fills rows in order and keeps no state between calls, so the block size
+    changes no number, and memory grows with ``S**2`` but not with
+    ``trials``.  A residual that overflows to NaN is reported as ``inf``,
+    and its verdict is false; the decomposition residual is ``inf`` when a
+    sampled system has no ``phi``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -508,50 +508,35 @@ def audit_representation(
                 f"the system has {sys.real_dim}"
             )
     sampled = [s for s in systems if s.dim is not None]
-    pairs = list(itertools.product(sampled, repeat=2))
-    # one generator per role, in contract order; the decomposition's come last
-    n_trial_roles = 2 * len(sampled) + 2 * len(pairs)
+    # one generator per role, in contract order: two per sampled system and two per pair
     roles = [np.random.default_rng(child)
-             for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
+             for child in np.random.SeedSequence(seed).spawn(2 * len(sampled) * (len(sampled) + 1))]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.zeros(3)
+        chis = {s.label: extract_chi(rep, s) for s in systems}
+        # one rank decision per system: dim_check holds iff every chi is injective
+        maps = {}
+        for sys in systems:
+            try:
+                maps[sys.label] = chis[sys.label], extract_phi(rep, sys, chis[sys.label])
+            except InjectivityError:
+                pass
+        factored = max(1, trials // 4) if all(s.label in maps for s in sampled) else 0
+
+        residuals = np.zeros(4)
         for start in range(0, trials if sampled else 0, AUDIT_BLOCK_TRIALS):
             count = min(AUDIT_BLOCK_TRIALS, trials - start)
-            residuals = np.maximum(residuals, _audit_block(rep, sampled, roles, count))
+            block = _audit_block(rep, sampled, roles, count, maps, max(0, factored - start))
+            residuals = np.maximum(residuals, block)
+        if not factored:
+            residuals[3] = np.inf
 
-        chis = {s.label: extract_chi(rep, s) for s in systems}
         discard = np.max([_discard_residual(s, chis[s.label]) for s in systems], initial=0.0)
         id_images = (rep.id_image(s.label) for s in systems)
         functorial = all(max_abs(d - np.eye(len(d))) <= IDEMPOTENCY_ATOL for d in id_images)
 
-        # one rank decision per system: dim_check holds iff every chi is injective
-        phis = {}
-        for sys in systems:
-            try:
-                phis[sys.label] = extract_phi(rep, sys, chis[sys.label])
-            except InjectivityError:
-                pass
-        dim_ok = len(phis) == len(systems)
-
-        decomposition = 0.0
-        if any(s.label not in phis for s in sampled):
-            decomposition = float("inf")
-        else:
-            count = max(1, trials // 4)
-            for (sys_a, sys_b), rng in zip(pairs, roles[n_trial_roles:]):
-                shape = channel_block_shape(sys_a.dim, sys_b.dim)
-                for start in range(0, count, AUDIT_BLOCK_TRIALS):
-                    normals = _rows(rng, min(AUDIT_BLOCK_TRIALS, count - start), [shape])[0]
-                    kraus = random_kraus(sys_a.dim, sys_b.dim, normals)
-                    residual = _decomposition_residual(
-                        rep, sys_a, sys_b, chis[sys_b.label], phis[sys_a.label],
-                        channel_stack(kraus)[0],
-                    )
-                    decomposition = np.maximum(decomposition, residual)
-
-    semif, adequacy, linearity, discard, decomposition = np.nan_to_num(
-        [*residuals, discard, decomposition], nan=np.inf, posinf=np.inf
+    semif, adequacy, linearity, decomposition, discard = np.nan_to_num(
+        [*residuals, discard], nan=np.inf, posinf=np.inf
     ).tolist()
     return AuditReport(
         semifunctorial=semif <= SEMIFUNCTORIAL_ATOL,
@@ -564,7 +549,7 @@ def audit_representation(
         discard_residual=discard,
         functorial=bool(functorial),
         decomposition_residual=decomposition,
-        dim_check=bool(dim_ok),
+        dim_check=len(maps) == len(systems),
         seed=seed,
         trials=trials,
     )

@@ -249,7 +249,7 @@ class TestAudit:
 
 
 class TestGoldenReports:
-    """Audit and coherence reports pinned byte for byte: batching must not change one digit.
+    r"""Audit and coherence reports pinned byte for byte: batching must not change one digit.
 
     The audit reports under ``tests/golden`` pin the sampling contract, down
     to which role stream, and which row of it, yields each channel's
@@ -261,6 +261,15 @@ class TestGoldenReports:
     coherence reports pin the row that each coherence trial reads from the one stream.
     They were written on Python 3.11 with numpy 2.4 and OpenBLAS; a different
     BLAS or LAPACK build may round residuals differently.
+
+    A declared change of the audit's sampling contract re-captures the two
+    audit goldens with these commands, run in bash from the repository root::
+
+        quasirep audit --system quantum:2 --frame-file tests/golden/qubit_frame.json \
+            --trials 67 --seed 1 --out tests/golden/qubit_frame_67.report.json
+        quasirep audit --out tests/golden/mixed_5.report.json --config <(echo '{"systems":
+            [{"system": "quantum:2"}, {"system": "quantum:3"}, {"system": "classical:2"}],
+            "trials": 5, "seed": 7}')
     """
 
     def test_qubit_frame_across_a_block_boundary(self, tmp_path):

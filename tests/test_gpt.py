@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasirep import gpt
 from quasirep.errors import DimensionError, SpanningError
 from quasirep.frames import Channel
 from quasirep.gpt import (
@@ -79,6 +81,15 @@ class TestMakeSystem:
         with pytest.raises(ValueError, match="'boxworld'; known kinds: quantum, classical"):
             make_system("boxworld", 2)
 
+    def test_record_is_frozen(self):
+        # t is derived once, on construction: an assigned field would leave it stale
+        sys2 = make_system("classical", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys2.states = 2 * np.eye(2)
+        doubled = dataclasses.replace(sys2, states=2 * np.eye(2))
+        assert np.array_equal(doubled.t, identity_resolution(doubled))
+        assert max_abs(doubled.t - np.eye(2) / 2) <= 1e-12
+
 
 class TestIdentityResolution:
     def test_classical_identity(self):
@@ -101,8 +112,9 @@ class TestIdentityResolution:
         # an extra spanning state keeps a (non-unique) minimal-norm solution
         sys2 = make_system("quantum", 2)
         extra = np.vstack([sys2.states, sys2.states[:1] * 0.5 + sys2.states[1:2] * 0.5])
-        sys2.states = extra
-        sys2.effects = np.vstack([sys2.effects, sys2.effects[:1]])
+        sys2 = dataclasses.replace(
+            sys2, states=extra, effects=np.vstack([sys2.effects, sys2.effects[:1]])
+        )
         t = identity_resolution(sys2)
         assert max_abs(reassemble(sys2.states, sys2.effects, t) - np.eye(4)) <= 1e-10
 
@@ -136,14 +148,15 @@ class TestTomographicDecompose:
 
     def test_non_spanning_raises(self):
         sys2 = make_system("classical", 2)
-        crippled = make_system("classical", 2)
-        crippled.states = np.array([[1.0, 0.0]])
-        crippled.effects = np.array([[1.0, 0.0]])
-        proc = GptProcess(sys2, sys2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        broken = GptProcess(crippled, crippled, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        tomographic_decompose(proc)  # fine on the real system
+        line = np.array([[1.0, 0.0]])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        tomographic_decompose(GptProcess(sys2, sys2, swap))  # fine on the real system
+        # the solve tomographic_decompose runs on a process between crippled systems
         with pytest.raises(SpanningError):
-            tomographic_decompose(broken)
+            gpt._decompose_matrix(line, line, swap)
+        # and no record of the crippled system can be built
+        with pytest.raises(SpanningError):
+            dataclasses.replace(sys2, states=line, effects=line)
 
 
 def _family(rng, rows, cols, rank):
@@ -153,10 +166,9 @@ def _family(rng, rows, cols, rank):
     return u * rng.uniform(0.5, 2, rank) @ v
 
 
-def _crippled_classical(dim, states, effects):
-    sys_d = make_system("classical", dim)
-    sys_d.states, sys_d.effects = states, effects
-    return sys_d
+def _classical_with(dim, states, effects):
+    """The classical record of size ``dim`` with other state and effect rows."""
+    return dataclasses.replace(make_system("classical", dim), states=states, effects=effects)
 
 
 class TestFactoredTomography:
@@ -170,21 +182,23 @@ class TestFactoredTomography:
         rank = max(1, dim - deficit)
         states = _family(rng, dim + extra_s, dim, rank)
         effects = _family(rng, dim + extra_e, dim, rank)
-        sys_d = _crippled_classical(dim, states, effects)
         # column (i, j) of the design is kron(s_i, e_j) = vec(outer(s_i, e_j))
         design = np.kron(states.T, effects.T)
         # a target in the span of the pairs, so rank-deficient families decompose too
         target = states.T @ rng.standard_normal((len(states), len(effects))) @ effects
-        r = tomographic_decompose(GptProcess(sys_d, sys_d, target))
+        r = gpt._decompose_matrix(states, effects, target)
         reference = np.linalg.lstsq(design, target.reshape(-1), rcond=None)[0]
         assert max_abs(r - reference.reshape(r.shape)) <= 1e-12
         if rank == dim:
+            sys_d = _classical_with(dim, states, effects)
+            assert np.array_equal(tomographic_decompose(GptProcess(sys_d, sys_d, target)), r)
             t = identity_resolution(sys_d)
             reference = np.linalg.lstsq(design, np.eye(dim).reshape(-1), rcond=None)[0]
             assert max_abs(t - reference.reshape(t.shape)) <= 1e-12
         else:
+            # the identity resolution fails, so the record cannot be built
             with pytest.raises(SpanningError):
-                identity_resolution(sys_d)
+                _classical_with(dim, states, effects)
 
     def test_quantum_8_builds_without_the_design(self):
         # the d = 8 Kronecker design alone would hold 4096**2 floats (134 MB)

@@ -1,8 +1,9 @@
 """Mutants of a representation that a gated audit verdict must catch.
 
-Each mutant corrupts one map of the qutrit Fourier Kirkwood-Dirac slot and
-must flip ``semifunctorial``.  A verdict that no mutant flips gets a strict
-``xfail`` naming the ROADMAP item expected to make it falsifiable.
+Each mutant corrupts a map of the qutrit Fourier Kirkwood-Dirac slot, or
+both, and must flip ``semifunctorial`` and ``empirically_adequate``.  A
+verdict that no mutant flips gets a strict ``xfail`` naming the ROADMAP item
+expected to make it falsifiable.
 """
 
 import numpy as np
@@ -20,6 +21,12 @@ MUTANTS = {
     "rep-conjugated": lambda rep, recon, rng: (rep.conj(), recon),
     "rep-rows-reversed": lambda rep, recon, rng: (rep[::-1], recon),
     "recon-is-rep-transposed": lambda rep, recon, rng: (rep, rep.T),
+    "rep-last-row-zeroed": lambda rep, recon, rng: (
+        np.concatenate([rep[:-1], np.zeros_like(rep[-1:])]), recon
+    ),
+    "rep-and-recon-gaussian": lambda rep, recon, rng: tuple(
+        rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape) for m in (rep, recon)
+    ),
 }
 
 
@@ -43,6 +50,24 @@ def test_mutant_fails_semifunctoriality(mutant):
     rep, system = _qutrit_fourier(mutant)
     report = audit_representation(rep, [system], trials=20, seed=3)
     assert not report.semifunctorial and not report.passes()
+    assert not report.empirically_adequate
+
+
+def test_rank_deficient_rep_has_no_factorization():
+    # chi has rank 8 < 9, so there is no phi and the factorization check reads inf
+    rep, system = _qutrit_fourier("rep-last-row-zeroed")
+    report = audit_representation(rep, [system], trials=20, seed=3)
+    assert not report.dim_check and report.decomposition_residual == float("inf")
+    assert not report.passes()
+
+
+def test_random_slot_still_factors():
+    # both sides of the factorization reduce to rep @ S @ recon for any slot
+    # whose chi is injective, so random maps factor (ROADMAP item 1)
+    rep, system = _qutrit_fourier("rep-and-recon-gaussian")
+    report = audit_representation(rep, [system], trials=20, seed=3)
+    assert not report.semifunctorial and not report.empirically_adequate
+    assert report.dim_check and np.isfinite(report.decomposition_residual)
 
 
 def test_one_trial_composes_two_independent_channels():

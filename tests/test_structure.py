@@ -81,16 +81,15 @@ def _reference_report(rep, systems, trials, seed):
     each item drawn by its own call to its role's generator."""
     quantum = [s for s in systems if s.dim is not None]
     pairs = list(itertools.product(quantum, repeat=2))
-    n_trial_roles = 2 * len(quantum) + 2 * len(pairs)
     roles = [np.random.default_rng(child)
-             for child in np.random.SeedSequence(seed).spawn(n_trial_roles + len(pairs))]
+             for child in np.random.SeedSequence(seed).spawn(2 * len(quantum) + 2 * len(pairs))]
 
     def draw_channel(rng, a, b):
         normals = rng.standard_normal(gpt.channel_block_shape(a.dim, b.dim))
         return Channel(gpt.random_kraus(a.dim, b.dim, normals))
 
-    semif, adequacy, linearity = [0.0], [0.0], [0.0]
-    for _ in range(trials):
+    semif, adequacy, linearity, decomposition = [0.0], [0.0], [0.0], [0.0]
+    for trial in range(trials):
         role = iter(roles)
         for sys in quantum:
             normals, weights = next(role), next(role)
@@ -111,6 +110,8 @@ def _reference_report(rep, systems, trials, seed):
             weighted = (w * rep.apply(a.label, b.label, ch1.superop)
                         + (1 - w) * rep.apply(a.label, b.label, ch2.superop))
             linearity.append(max_abs(rep.apply(a.label, b.label, mixed.superop) - weighted))
+            if trial < max(1, trials // 4):
+                decomposition.append(verify_decomposition(rep, a, b, [ch1]))
         # T1 is the first channel of pair (a, b), T2 the second of pair (b, c)
         for a, b, c in itertools.product(quantum, repeat=3):
             ch1, ch2 = channels[a.label, b.label][0], channels[b.label, c.label][1]
@@ -118,12 +119,6 @@ def _reference_report(rep, systems, trials, seed):
             product = (rep.apply(b.label, c.label, ch2.superop)
                        @ rep.apply(a.label, b.label, ch1.superop))
             semif.append(max_abs(whole - product))
-
-    decomposition = [0.0] + [
-        verify_decomposition(rep, a, b, [draw_channel(rng, a, b)])
-        for (a, b), rng in zip(pairs, roles[n_trial_roles:])
-        for _ in range(max(1, trials // 4))
-    ]
     discard = max(_discard_residual(s, extract_chi(rep, s)) for s in systems)
     id_images = [rep.slot(s.label).rep @ rep.slot(s.label).recon for s in systems]
     return {
@@ -564,10 +559,18 @@ class TestAudit:
             qutrit.label: canonical_dual(random_frame(3, 11, np.random.default_rng(8))),
         })
         systems = [qubit, qutrit]
-        trials = AUDIT_BLOCK_TRIALS + 1
+        # at 4 AUDIT_BLOCK_TRIALS + 4 trials the 65 factored trials span two blocks
+        for trials in (AUDIT_BLOCK_TRIALS + 1, 4 * AUDIT_BLOCK_TRIALS + 4):
+            report = audit_representation(rep, systems, trials=trials, seed=seed)
+            assert report.to_json() == _reference_report(rep, systems, trials, seed)
+            assert report.passes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 2**64 - 1))
+    def test_equals_the_reference_at_any_seed(self, trials, seed):
+        rep, systems = _qubit_and_qutrit()
         report = audit_representation(rep, systems, trials=trials, seed=seed)
         assert report.to_json() == _reference_report(rep, systems, trials, seed)
-        assert report.passes()
 
     def test_builds_one_generator_per_role(self, qubit, qutrit, monkeypatch):
         rep = build_representation({
@@ -589,14 +592,14 @@ class TestAudit:
         for trials in (1, AUDIT_BLOCK_TRIALS + 3, 4 * AUDIT_BLOCK_TRIALS + 4):
             built.clear()
             audit_representation(rep, [qubit, qutrit], trials=trials, seed=0)
-            # two roles per system and per pair, one decomposition role per pair
-            assert built == ["default_rng"] * (3 * s**2 + 2 * s)
+            # two roles per system and per pair; the factorization check has none
+            assert built == ["default_rng"] * (2 * s**2 + 2 * s)
 
     @pytest.mark.parametrize("trials", [1, AUDIT_BLOCK_TRIALS + 3])
     def test_builds_each_pair_stack_once_per_block(self, trials, monkeypatch):
-        # semi-functoriality composes the pair channels: per block, one Kraus
-        # draw and two superoperator stacks (channels and mixture) per pair,
-        # none per triple; the decomposition adds one of each per pair and chunk
+        # semi-functoriality and the factorization check read the pair channels:
+        # per block, one Kraus draw and two superoperator stacks (channels and
+        # mixture) per pair, none per triple and none for the factorization
         rep, systems = _qubit_and_qutrit()
         counts = {"random_kraus": 0, "channel_stack": 0}
 
@@ -613,15 +616,12 @@ class TestAudit:
         audit_representation(rep, systems, trials=trials, seed=0)
         s = len(systems)
         blocks = -(-trials // AUDIT_BLOCK_TRIALS)
-        chunks = -(-max(1, trials // 4) // AUDIT_BLOCK_TRIALS)
-        assert counts == {"random_kraus": blocks * s**2 + chunks * s**2,
-                          "channel_stack": blocks * 2 * s**2 + chunks * s**2}
+        assert counts == {"random_kraus": blocks * s**2, "channel_stack": blocks * 2 * s**2}
 
     @pytest.mark.parametrize("trials", [1, 4 * AUDIT_BLOCK_TRIALS + 4])
     def test_draws_each_segment_in_one_generator_call(self, qubit, qutrit, trials, monkeypatch):
-        # one call per trial role and per block of AUDIT_BLOCK_TRIALS trials;
-        # one per decomposition role and per chunk of at most AUDIT_BLOCK_TRIALS
-        # channels; the classical system has no role
+        # one call per role and per block of AUDIT_BLOCK_TRIALS trials; the
+        # classical system has no role
         bits = make_system("classical", 2)
         rep = Representation({
             qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
@@ -652,8 +652,7 @@ class TestAudit:
         audit_representation(rep, [qubit, bits, qutrit], trials=trials, seed=0)
         s = 2
         blocks = -(-trials // AUDIT_BLOCK_TRIALS)
-        chunks = -(-max(1, trials // 4) // AUDIT_BLOCK_TRIALS)
-        assert calls == [blocks] * (2 * s + 2 * s**2) + [chunks] * s**2
+        assert calls == [blocks] * (2 * s + 2 * s**2)
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 2**64 - 1))

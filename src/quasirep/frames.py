@@ -176,7 +176,7 @@ def channel_stack(kraus, validate: bool = True) -> tuple[np.ndarray, np.ndarray]
         bound = (np.diagonal(h, axis1=-2, axis2=-1).real + radii).max()
         if not bound <= TRACE_EXCESS_ATOL:
             excess = np.linalg.eigvalsh(h).max()
-            if excess > TRACE_EXCESS_ATOL:
+            if not excess <= TRACE_EXCESS_ATOL:
                 raise ValueError(f"channel increases trace by up to {excess:.3e}")
     return superops.reshape(*batch, d_out**2, d_in**2), grams
 

@@ -8,9 +8,10 @@ Each system stores the coefficients ``t`` of a resolution of the identity
 ``sum_ij t_ij s_i e_j = id``, and any process between systems decomposes as
 a real combination of the same prepare-and-measure pairs.  With the states
 and effects as the rows of ``S`` and ``E`` the sum is ``S.T @ t @ E``, so
-the minimal-norm least-squares coefficients of a target ``M`` factor as
-``pinv(S.T) @ M @ pinv(E)``: two small pseudo-inverses stand in for the
-``D**2 x D**2`` design matrix of the prepare-and-measure pairs.
+the coefficients of a target ``M`` are ``inv(S.T) @ M @ inv(E)`` for a
+square family (as many states and effects as coordinates), and otherwise, or
+when the inverse fails, the minimal-norm ``pinv(S.T) @ M @ pinv(E)``: two
+small solves stand in for the ``D**2 x D**2`` design matrix of the pairs.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import numpy as np
 
 from .errors import DimensionError, SpanningError
 from .frames import Channel
-from .linalg import as_cmat, haar_isometries, max_abs, vectorize
+from .linalg import haar_isometries, max_abs
 
 __all__ = [
     "GptSystem",
     "GptProcess",
-    "operator_to_coords",
     "make_system",
     "identity_resolution",
     "tomographic_decompose",
@@ -67,33 +67,6 @@ def _basis_isomorphism(d: int) -> np.ndarray:
             n += 2
     # rows are vec of the elements; the transpose makes them columns
     return basis.reshape(d * d, d * d).T
-
-
-def operator_to_coords(x, iso: np.ndarray) -> np.ndarray:
-    """Real coordinates of a self-adjoint operator in the fixed basis."""
-    z = iso.conj().T @ vectorize(as_cmat(x, square=True))
-    if max_abs(z.imag) > COORDS_ATOL:
-        raise ValueError("operator is not self-adjoint: coordinates are complex")
-    return z.real.copy()
-
-
-def _tomography_states(d: int) -> list[np.ndarray]:
-    """The fixed spanning family of d**2 pure states.
-
-    Computational-basis projectors plus, for each pair ``j < k``, the
-    projectors onto ``(|j> + |k>)/sqrt(2)`` and ``(|j> + i|k>)/sqrt(2)``.
-    """
-    states = []
-    eye = np.eye(d, dtype=complex)
-    for j in range(d):
-        states.append(np.outer(eye[j], eye[j].conj()))
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus = (eye[j] + eye[k]) / np.sqrt(2)
-            states.append(np.outer(plus, plus.conj()))
-            plus_i = (eye[j] + 1j * eye[k]) / np.sqrt(2)
-            states.append(np.outer(plus_i, plus_i.conj()))
-    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,15 +121,21 @@ class GptProcess:
 
 def _quantum(d: int, label: str) -> GptSystem:
     """Quantum system on ``C^d``: the real space of self-adjoint ``d x d``
-    operators in the fixed orthonormal Hermitian basis.  The spanning states
-    are the tomography family of pure states, the effects reuse the same
-    operators as functionals and the deterministic effect is the trace."""
+    operators in the fixed orthonormal Hermitian basis, with the trace as the
+    deterministic effect.  States and effects are the tomography family of
+    pure states in closed form: row ``j < d`` is ``|j>``, the unit ``e_j``;
+    then each pair ``j < k`` has rows for ``(|j> + |k>)/sqrt(2)`` and ``(|j> +
+    i|k>)/sqrt(2)``, with ``1/2`` at ``j`` and ``k`` and ``1/sqrt(2)`` at the
+    row's own index: the pair's symmetric, then antisymmetric element."""
     if d > MAX_QUANTUM_DIM:
         raise DimensionError(f"quantum systems support d <= {MAX_QUANTUM_DIM}")
-    iso = _basis_isomorphism(d)
-    ops = np.array(_tomography_states(d))
-    states = (iso.conj().T @ ops.reshape(len(ops), -1).T).T.real.copy()
-    return GptSystem(label, states, states.copy(), operator_to_coords(np.eye(d), iso), iso, d)
+    j, k = (np.repeat(ix, 2) for ix in np.nonzero(np.arange(d)[:, None] < np.arange(d)))
+    pair = np.arange(d, d * d)
+    states = np.eye(d * d)
+    states[pair, pair] = 1 / np.sqrt(2)
+    states[pair, j] = states[pair, k] = 0.5
+    u = (np.arange(d * d) < d).astype(float)
+    return GptSystem(label, states, states.copy(), u, _basis_isomorphism(d), d)
 
 
 def _classical(n: int, label: str) -> GptSystem:
@@ -184,9 +163,10 @@ def make_system(kind: str, dim: int, seed: int = 0, label: str | None = None) ->
 def identity_resolution(sys: GptSystem) -> np.ndarray:
     """Coefficients ``t`` with ``sum_ij t_ij s_i e_j = id`` on the system.
 
-    The minimal-norm least-squares solution ``pinv(S.T) @ pinv(E)`` for
-    states and effects as the rows of ``S`` and ``E`` (unique for spanning
-    bases, deterministic for overcomplete families).
+    For states and effects as the rows of ``S`` and ``E``: ``inv(S.T) @
+    inv(E)`` for a square family (unique), else the minimal-norm
+    least-squares ``pinv(S.T) @ pinv(E)`` (deterministic for overcomplete
+    families); see the module docstring.
 
     Raises:
         SpanningError: if no solution reaches the residual tolerance.
@@ -204,14 +184,18 @@ def tomographic_decompose(proc: GptProcess) -> np.ndarray:
 
 
 def _decompose_matrix(states, effects, target) -> np.ndarray:
-    # the factored minimal-norm solution; see the module docstring
-    coeff = np.linalg.pinv(states.T) @ target @ np.linalg.pinv(effects)
-    residual = max_abs(states.T @ coeff @ effects - target)
-    if residual > COORDS_ATOL:
-        raise SpanningError(
-            f"prepare-measure pairs do not span the target: residual {residual:.3e}"
-        )
-    return coeff
+    # see the module docstring
+    square = states.shape[0] == states.shape[1] and effects.shape[0] == effects.shape[1]
+    residual = np.inf
+    for inverse in [np.linalg.inv] * square + [np.linalg.pinv]:
+        try:
+            coeff = inverse(states.T) @ target @ inverse(effects)
+        except np.linalg.LinAlgError:  # inv of a singular family, or an SVD that fails
+            continue
+        residual = max_abs(states.T @ coeff @ effects - target)
+        if residual <= COORDS_ATOL:
+            return coeff
+    raise SpanningError(f"prepare-measure pairs do not span the target: residual {residual:.3e}")
 
 
 def random_channel(d_in: int, d_out: int, seed: int = 0) -> Channel:

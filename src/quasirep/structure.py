@@ -214,12 +214,16 @@ def extract_chi(rep: Representation, sys: GptSystem) -> np.ndarray:
     return images @ sys.t.astype(complex) @ effect_rows
 
 
-def extract_phi(rep: Representation, sys: GptSystem, chi: np.ndarray | None = None) -> np.ndarray:
+def extract_phi(
+    rep: Representation, sys: GptSystem, chi: np.ndarray | None = None,
+    id_image: np.ndarray | None = None,
+) -> np.ndarray:
     """The effect map ``phi`` fixed by ``chi`` and the identity image.
 
     Implemented as ``pinv(chi) @ D``: the Moore-Penrose inverse of ``chi``
     (equal to the inverse of its surjective corestriction on the range)
-    composed with the identity image ``D = rep.id_image(sys.label)``.
+    composed with the identity image ``D = rep.id_image(sys.label)``, or
+    ``id_image`` when given.
 
     Raises:
         InjectivityError: if ``chi`` is rank-deficient (rank below its
@@ -232,7 +236,7 @@ def extract_phi(rep: Representation, sys: GptSystem, chi: np.ndarray | None = No
         raise InjectivityError(
             f"state map has rank {rank} < {chi.shape[1]}; not injective"
         )
-    return pinv @ rep.id_image(sys.label)
+    return pinv @ (rep.id_image(sys.label) if id_image is None else id_image)
 
 
 def effect_sum_phi(rep: Representation, sys: GptSystem) -> np.ndarray:
@@ -514,11 +518,14 @@ def audit_representation(
 
     with np.errstate(over="ignore", invalid="ignore"):
         chis = {s.label: extract_chi(rep, s) for s in systems}
+        id_images = {s.label: rep.id_image(s.label) for s in systems}
         # one rank decision per system: dim_check holds iff every chi is injective
         maps = {}
         for sys in systems:
             try:
-                maps[sys.label] = chis[sys.label], extract_phi(rep, sys, chis[sys.label])
+                maps[sys.label] = chis[sys.label], extract_phi(
+                    rep, sys, chis[sys.label], id_images[sys.label]
+                )
             except InjectivityError:
                 pass
         factored = max(1, trials // 4) if all(s.label in maps for s in sampled) else 0
@@ -532,8 +539,9 @@ def audit_representation(
             residuals[3] = np.inf
 
         discard = np.max([_discard_residual(s, chis[s.label]) for s in systems], initial=0.0)
-        id_images = (rep.id_image(s.label) for s in systems)
-        functorial = all(max_abs(d - np.eye(len(d))) <= IDEMPOTENCY_ATOL for d in id_images)
+        functorial = all(
+            max_abs(d - np.eye(len(d))) <= IDEMPOTENCY_ATOL for d in id_images.values()
+        )
 
     semif, adequacy, linearity, decomposition, discard = np.nan_to_num(
         [*residuals, discard], nan=np.inf, posinf=np.inf

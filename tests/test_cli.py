@@ -262,8 +262,9 @@ class TestGoldenReports:
     They were written on Python 3.11 with numpy 2.4 and OpenBLAS; a different
     BLAS or LAPACK build may round residuals differently.
 
-    A declared change of the audit's sampling contract re-captures the two
-    audit goldens with these commands, run in bash from the repository root::
+    A declared change of the audit's sampling contract or of its tomography
+    re-captures the two audit goldens with these commands, run in bash from
+    the repository root::
 
         quasirep audit --system quantum:2 --frame-file tests/golden/qubit_frame.json \
             --trials 67 --seed 1 --out tests/golden/qubit_frame_67.report.json

@@ -411,6 +411,12 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel([np.eye(2) * 1.5])
 
+    def test_overflowing_gram_rejected(self):
+        # gram - I holds inf, so its eigenvalues are NaN: a NaN excess must not pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="increases trace"):
+                Channel([[[1e200, 0], [0, 1]]])
+
     def test_choi_psd_and_trace_preserving(self):
         for seed in range(20):
             superop, gram = channel_stack(random_channel(2, 2, seed=seed).kraus)

@@ -91,6 +91,57 @@ class TestMakeSystem:
         assert max_abs(doubled.t - np.eye(2) / 2) <= 1e-12
 
 
+def operator_to_coords(x, iso):
+    """Real coordinates ``iso† vec(x)`` of a self-adjoint operator (or a stack)."""
+    z = np.asarray(x).reshape(*np.shape(x)[:-2], -1) @ iso.conj()
+    assert max_abs(z.imag) <= 1e-10
+    return z.real
+
+
+def _operator_route(d):
+    """Reference: the tomography family's outer products and the identity
+    mapped to real coordinates through ``iso†``."""
+    eye = np.eye(d, dtype=complex)
+    kets = list(eye)
+    for j in range(d):
+        for k in range(j + 1, d):
+            kets += [(eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)]
+    ops = np.array([np.outer(ket, ket.conj()) for ket in kets])
+    iso = gpt._basis_isomorphism(d)
+    return operator_to_coords(ops, iso), operator_to_coords(np.eye(d), iso)
+
+
+class TestClosedFormQuantum:
+    """The quantum constructor's index arithmetic against the operator route."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_operator_route(self, d):
+        sys_d = make_system("quantum", d)
+        states, u = _operator_route(d)
+        assert max_abs(sys_d.states - states) <= 1e-15
+        assert max_abs(sys_d.effects - states) <= 1e-15
+        assert np.array_equal(sys_d.u, u)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_states_are_pure(self, d):
+        sys_d = make_system("quantum", d)
+        for op in (sys_d.iso @ sys_d.states.T).T.reshape(-1, d, d):
+            assert max_abs(op @ op - op) <= 1e-15 and max_abs(op - op.conj().T) == 0
+            assert abs(np.trace(op) - 1) <= 1e-15
+            assert np.linalg.matrix_rank(op) == 1
+
+    def test_takes_no_svd(self, monkeypatch):
+        calls = []
+        for name in ("svd", "pinv"):
+            def spy(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        for d in range(1, 9):
+            make_system("quantum", d)
+        assert calls == []
+
+
 class TestIdentityResolution:
     def test_classical_identity(self):
         sys2 = make_system("classical", 2)
@@ -157,6 +208,20 @@ class TestTomographicDecompose:
         # and no record of the crippled system can be built
         with pytest.raises(SpanningError):
             dataclasses.replace(sys2, states=line, effects=line)
+
+    def test_singular_square_family_takes_the_pseudo_inverse(self):
+        line = np.array([[1.0, 0.0], [0.0, 0.0]])
+        target = np.array([[2.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(line)
+        assert np.array_equal(gpt._decompose_matrix(line, line, target), target)
+
+    def test_overflowing_inverse_raises_spanning_error(self):
+        # the inverse holds 1e300: the coefficients overflow, the square route's residual is NaN
+        wide = np.diag([1e300, 1e-300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpanningError):
+                gpt._decompose_matrix(wide, wide, np.eye(2))
 
 
 def _family(rng, rows, cols, rank):
@@ -323,8 +388,6 @@ class TestChannelToProcess:
         assert proc.matrix.dtype == float
 
     def test_action_agrees_with_channel(self, rng):
-        from quasirep.gpt import operator_to_coords, random_density
-
         sys2 = make_system("quantum", 2)
         sys3 = make_system("quantum", 3)
         ch = random_channel(2, 3, seed=13)

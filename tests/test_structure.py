@@ -618,6 +618,24 @@ class TestAudit:
         blocks = -(-trials // AUDIT_BLOCK_TRIALS)
         assert counts == {"random_kraus": blocks * s**2, "channel_stack": blocks * 2 * s**2}
 
+    def test_builds_each_identity_image_once(self, monkeypatch):
+        # extract_phi and the functorial verdict read the same image
+        systems = [make_system("quantum", d) for d in (2, 3, 4)]
+        rep = Representation({
+            s.label: SystemSlot.from_pair(kd_frame_pair(preset_bases("fourier", s.dim)))
+            for s in systems
+        }, validate=False)
+        built = []
+        id_image = Representation.id_image
+
+        def counting(self, system):
+            built.append(system)
+            return id_image(self, system)
+
+        monkeypatch.setattr(Representation, "id_image", counting)
+        assert audit_representation(rep, systems, trials=2, seed=0).passes()
+        assert built == [s.label for s in systems]
+
     @pytest.mark.parametrize("trials", [1, 4 * AUDIT_BLOCK_TRIALS + 4])
     def test_draws_each_segment_in_one_generator_call(self, qubit, qutrit, trials, monkeypatch):
         # one call per role and per block of AUDIT_BLOCK_TRIALS trials; the

@@ -12,6 +12,8 @@ the coefficients of a target ``M`` are ``inv(S.T) @ M @ inv(E)`` for a
 square family (as many states and effects as coordinates), and otherwise, or
 when the inverse fails, the minimal-norm ``pinv(S.T) @ M @ pinv(E)``: two
 small solves stand in for the ``D**2 x D**2`` design matrix of the pairs.
+When the states equal the effects (as for quantum systems) one solve does,
+as ``inv(S.T) = inv(S).T``.
 """
 
 from __future__ import annotations
@@ -186,10 +188,12 @@ def tomographic_decompose(proc: GptProcess) -> np.ndarray:
 def _decompose_matrix(states, effects, target) -> np.ndarray:
     # see the module docstring
     square = states.shape[0] == states.shape[1] and effects.shape[0] == effects.shape[1]
+    same = np.array_equal(states, effects)  # one family: its inverse's transpose is the other
     residual = np.inf
     for inverse in [np.linalg.inv] * square + [np.linalg.pinv]:
         try:
-            coeff = inverse(states.T) @ target @ inverse(effects)
+            right = inverse(effects)
+            coeff = (right.T if same else inverse(states.T)) @ target @ right
         except np.linalg.LinAlgError:  # inv of a singular family, or an SVD that fails
             continue
         residual = max_abs(states.T @ coeff @ effects - target)

@@ -296,7 +296,7 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "dims, trials, seed, golden",
         [
-            # two full blocks of 64 trials and a partial one: pins the per-trial row layout
+            # a full block of 128 trials and a partial one: pins the per-trial row layout
             ("4,4,4", 133, "7", "coherence_444_133.report.json"),
             ("1,1,1", 5, "3", "coherence_111_5.report.json"),
         ],

@@ -242,9 +242,23 @@ class TestCoherence:
             finally:
                 tracemalloc.stop()
 
-        # 64 trials per block at dims 4, 4, 4 and 4 at dims 4, 4, 64
+        # 128 trials per block at dims 4, 4, 4 and 8 at dims 4, 4, 64
         block = max(1, COHERENCE_BLOCK_ENTRIES // (dim_w * dim_v * dim_z))
         assert peak(trials) <= 1.25 * peak(block)
+
+    def test_the_benchmark_shape_runs_in_few_blocks(self, monkeypatch):
+        # each block has a fixed cost of about 130 numpy calls: 2000 trials at
+        # dims 4, 4, 4 take at most 16 blocks
+        blocks = []
+        block = complexify._coherence_block
+
+        def spy(rng, trials, *dims):
+            blocks.append(trials)
+            return block(rng, trials, *dims)
+
+        monkeypatch.setattr(complexify, "_coherence_block", spy)
+        assert monoidal_coherence(4, 4, trials=2000, seed=0, dim_z=4).all_pass
+        assert sum(blocks) == 2000 and len(blocks) <= 16
 
     def test_scalar_mul_matches_structure(self, rng):
         p = PairVector(rng.standard_normal(3), rng.standard_normal(3))
@@ -273,6 +287,36 @@ def test_stacked_pair_kron_matches_kron_row_by_row(p_parts, q_parts):
     assert np.array_equal(first.real, re[0]) and np.array_equal(first.imag, im[0])
 
 
+def _signed_zeros(rng, shape):
+    """Uniform draws with about a quarter exact ``+0.0`` and a quarter exact ``-0.0``."""
+    x = rng.uniform(-1, 1, shape)
+    x[rng.uniform(size=shape) < 0.25] = 0.0
+    x[rng.uniform(size=shape) < 0.33] = -0.0
+    return x
+
+
+class TestKron:
+    """``complexify._kron`` is numpy's ``kron`` value for value on its callers' shapes."""
+
+    @pytest.mark.parametrize("w, v", [(1, 1), (2, 3), (4, 4), (8, 2)])
+    def test_naturality_maps(self, rng, w, v):
+        # _naturality: (T, 3, 1, w) x (T, 1, 3, v), every row of f against every row of g
+        f, g = _signed_zeros(rng, (6, 3, w)), _signed_zeros(rng, (6, 3, v))
+        out = complexify._kron(f[:, :, None, :], g[:, None, :, :])
+        expected = [[[np.kron(f_i, g_j) for g_j in g_t] for f_i in f_t] for f_t, g_t in zip(f, g)]
+        assert out.shape == (6, 3, 3, w * v) and np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("w, v", [(1, 1), (2, 3), (4, 4), (8, 2)])
+    def test_mu_basis_stacks(self, rng, w, v):
+        # _check_mu_iso: (w,) x (v, v), one vector against every row of a stack
+        x, y = _signed_zeros(rng, w), _signed_zeros(rng, (v, v))
+        assert np.array_equal(complexify._kron(x, y), [np.kron(x, y_j) for y_j in y])
+
+    def test_signed_zeros_are_drawn(self, rng):
+        x = _signed_zeros(rng, 400)
+        assert np.any((x == 0) & np.signbit(x)) and np.any((x == 0) & ~np.signbit(x))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
        st.integers(1, 300), st.integers(0, 2**32))
@@ -280,7 +324,8 @@ def test_reports_do_not_depend_on_the_block_budget(dims, trials, seed):
     # each block is a slice of one stream of trial rows, so a report is the same
     # whether every trial is its own block or all of them share one
     reports = set()
-    for entries in (1, 12, 4096, 65536):
+    # the shipped budget is always one of those compared
+    for entries in (1, 12, COHERENCE_BLOCK_ENTRIES, 8 * COHERENCE_BLOCK_ENTRIES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(complexify, "COHERENCE_BLOCK_ENTRIES", entries)
             report = monoidal_coherence(dims[0], dims[1], trials=trials, seed=seed, dim_z=dims[2])

@@ -141,6 +141,21 @@ class TestClosedFormQuantum:
             make_system("quantum", d)
         assert calls == []
 
+    def test_inverts_the_family_once(self, monkeypatch):
+        # states and effects are equal, so one inverse serves both sides
+        calls = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            calls.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        for d in range(1, 9):
+            calls.clear()
+            make_system("quantum", d)
+            assert calls == [(d * d, d * d)]
+
 
 class TestIdentityResolution:
     def test_classical_identity(self):

@@ -12,21 +12,19 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# ``coherence`` needs only complexify: the frame/GPT/audit engine is imported
+# inside the commands that run it, so that its modules are not loaded there.
 from .complexify import monoidal_coherence
 from .errors import DimensionError, QuasirepError
-from .frames import DualPair, canonical_dual, frame_from_json
-from .gpt import MAX_QUANTUM_DIM, make_system, random_density
-from .kirkwood_dirac import KdBases, kd_distribution, kd_frame_pair, preset_bases
-from .linalg import cmat_from_json
-from .structure import (
-    DECOMPOSITION_ATOL,
-    Representation,
-    SystemSlot,
-    audit_representation,
-)
+from .linalg import MAX_QUANTUM_DIM, cmat_from_json
+
+if TYPE_CHECKING:
+    from .kirkwood_dirac import KdBases
+    from .structure import SystemSlot
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,12 +88,21 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
-def _build_bases(cfg: dict, dim: int) -> KdBases:
+def _build_bases(cfg: dict, dim: int, system: str | None = None) -> KdBases:
+    """A bases file, or a preset of dimension ``dim``.  A file must respect the
+    size cap and, for an audited ``system`` of dimension ``dim``, match it."""
+    from .kirkwood_dirac import KdBases, preset_bases
+
     if "bases-file" in cfg:
         data = _load_json(cfg["bases-file"])
         if not {"basis_a", "basis_b"} <= data.keys():
             raise ValueError("bases file needs both basis_a and basis_b")
-        return KdBases(cmat_from_json(data["basis_a"]), cmat_from_json(data["basis_b"]))
+        kb = KdBases(cmat_from_json(data["basis_a"]), cmat_from_json(data["basis_b"]))
+        if system is not None and kb.dim != dim:
+            raise DimensionError(f"bases file has dim {kb.dim}, system {system!r} has dim {dim}")
+        if kb.dim > MAX_QUANTUM_DIM:
+            raise DimensionError(f"bases file dim must be <= {MAX_QUANTUM_DIM}, got {kb.dim}")
+        return kb
     return preset_bases(cfg.get("bases", "fourier"), dim)
 
 
@@ -109,16 +116,23 @@ def run_kd_table(cfg: dict) -> int:
     if "state" in cfg:
         rho = cmat_from_json(_load_json(cfg["state"]))
     else:
+        from .gpt import random_density
+
         rng = np.random.default_rng(_seed(cfg))
         rho = random_density(dim, rng)
     if rho.shape != (dim, dim):
         raise DimensionError(f"state has shape {rho.shape}; the bases need ({dim}, {dim})")
 
     if cfg.get("frame"):
+        from .kirkwood_dirac import kd_frame_pair
+        from .structure import Representation, SystemSlot
+
         # route through the frame pair: validates faithfulness
         rep = Representation({"kd": SystemSlot.from_pair(kd_frame_pair(kb))}, validate=False)
         table = rep.apply(None, "kd", rho.reshape(-1, 1)).reshape(dim, dim)
     else:
+        from .kirkwood_dirac import kd_distribution
+
         table = kd_distribution(kb, rho)
 
     lines = ["a_label,b_label,re,im"]
@@ -142,6 +156,10 @@ def _parse_system_spec(spec) -> tuple[str, int]:
 
 def _audit_slot(entry: dict, sys) -> SystemSlot:
     """Slot for one audited system: a frame file, a bases preset or the identity."""
+    from .frames import DualPair, canonical_dual, frame_from_json
+    from .kirkwood_dirac import kd_frame_pair
+    from .structure import SystemSlot
+
     if "frame-file" in entry:
         if sys.dim is None:
             raise ValueError(f"frame files need a quantum system, not {sys.label}")
@@ -150,10 +168,13 @@ def _audit_slot(entry: dict, sys) -> SystemSlot:
         return SystemSlot.from_pair(pair)
     if sys.dim is None:
         return SystemSlot.identity(sys.real_dim)
-    return SystemSlot.from_pair(kd_frame_pair(_build_bases(entry, sys.dim)))
+    return SystemSlot.from_pair(kd_frame_pair(_build_bases(entry, sys.dim, sys.label)))
 
 
 def run_audit(cfg: dict) -> int:
+    from .gpt import make_system
+    from .structure import DECOMPOSITION_ATOL, Representation, audit_representation
+
     seed = _seed(cfg)
     trials = _coerce(int, cfg.get("trials", 20), "trials")
     if trials < 1:

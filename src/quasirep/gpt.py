@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, SpanningError
 from .frames import Channel
-from .linalg import haar_isometries, max_abs
+from .linalg import MAX_QUANTUM_DIM, haar_isometries, max_abs
 
 __all__ = [
     "GptSystem",
@@ -43,7 +43,6 @@ __all__ = [
     "effect_stack",
 ]
 
-MAX_QUANTUM_DIM = 8
 # Entrywise ceiling on the imaginary part of real coordinates and on the
 # residual of a prepare-and-measure decomposition.
 COORDS_ATOL = 1e-10

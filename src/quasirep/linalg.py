@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionError
 
 __all__ = [
+    "MAX_QUANTUM_DIM",
     "RANK_RTOL",
     "as_cmat",
     "as_cstack",
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 
+# The largest Hilbert-space dimension of a quantum system; its square bounds
+# every other size (classical outcomes, coherence dimensions).
+MAX_QUANTUM_DIM = 8
 # Singular values at or below this fraction of the largest count as zero in
 # every rank decision.
 RANK_RTOL = 1e-8

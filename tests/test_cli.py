@@ -23,6 +23,13 @@ HADAMARD_BASES = {"basis_a": cmat_to_json(np.eye(2)),
                   "basis_b": cmat_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))}
 
 
+def fourier_bases(d):
+    """The computational and Fourier bases of dimension ``d`` as a bases file."""
+    k = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    return {"basis_a": cmat_to_json(np.eye(d)), "basis_b": cmat_to_json(fourier)}
+
+
 @pytest.fixture
 def ground_state_file(tmp_path):
     path = tmp_path / "state.json"
@@ -414,6 +421,10 @@ class TestCoherence:
         (["audit", "--system", "quantum:0"], None, ">= 1"),
         (["audit", "--system", "quantum:9"], None, "d <= 8"),
         (["audit", "--system", "classical:0"], None, ">= 1"),
+        # a bases file meets the size cap and the audited system's size before any frame
+        (["kd-table", "--frame", "--bases-file"], fourier_bases(12), "<= 8, got 12"),
+        (["audit", "--system", "quantum:2", "--trials", "2", "--bases-file"], fourier_bases(9),
+         "dim 9, system 'quantum-2' has dim 2"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -428,7 +439,8 @@ class TestCoherence:
          "kd-state-string-entry", "kd-state-boolean-entry", "frame-non-string-labels",
          "frame-labels-string", "frame-string-d", "frame-element-string-rows",
          "frame-dual-boolean-entry", "frame-repeated-labels", "unknown-kind-qubit",
-         "unknown-kind-boxworld", "quantum-0", "quantum-9", "classical-0"],
+         "unknown-kind-boxworld", "quantum-0", "quantum-9", "classical-0",
+         "kd-bases-file-dim-12", "audit-bases-file-dim-9-on-qubit"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

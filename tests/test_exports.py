@@ -1,4 +1,5 @@
-"""Every exported name resolves, and the benchmark tracer still binds to the package.
+"""Every exported name resolves, each command imports only its engine, and the
+benchmark tracer still binds to the package.
 
 Deleting a public or traced name must fail here, not only in a traced
 benchmark run.  No module outside ``structure`` reads a slot's matrices.
@@ -7,11 +8,16 @@ benchmark run.  No module outside ``structure`` reads a slot's matrices.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import quasirep
+from quasirep import cli
 from quasirep.frames import Channel
 from quasirep.structure import Representation
 
@@ -26,13 +32,78 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(Path(quasirep.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"quasirep.{node.module}")
-        for alias in node.names:
-            assert getattr(module, alias.name) is getattr(quasirep, alias.name)
+    table = quasirep._EXPORTS
+    assert set(table) == set(MODULES_WITH_ALL)
+    assert quasirep.__all__ == [name for names in table.values() for name in names]
+    for module_name, names in table.items():
+        module = importlib.import_module(f"quasirep.{module_name}")
+        for name in names:
+            value = getattr(module, name)
+            assert getattr(quasirep, name) is value
+            # the table names the defining module, not one that re-imports the name
+            assert getattr(value, "__module__", module.__name__) == module.__name__
+    namespace = {}
+    exec("from quasirep import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(quasirep.__all__)
+    assert all(namespace[name] is getattr(quasirep, name) for name in quasirep.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        quasirep.missing
+
+
+# Run in a fresh interpreter: prints the quasirep modules loaded after each step.
+IMPORT_STEPS = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "quasirep")
+steps = {}
+import quasirep
+steps["package"] = loaded()
+import quasirep.cli
+steps["cli"] = loaded()
+assert quasirep.cli.main(["coherence", "--trials", "2", "--out", sys.argv[1]]) == 0
+steps["coherence"] = loaded()
+assert quasirep.cli.main(["kd-table", "--out", sys.argv[1]]) == 0
+steps["kd-table"] = loaded()
+assert quasirep.cli.main(["audit", "--trials", "2", "--out", sys.argv[1]]) == 0
+steps["audit"] = loaded()
+print(json.dumps(steps))
+"""
+RESOLVE_ALL = """
+import quasirep
+for name in quasirep.__all__:
+    getattr(quasirep, name)
+for name in quasirep._SUBMODULES:
+    assert getattr(quasirep, name).__name__ == "quasirep." + name
+# a name resolves on every read: a copy kept here would outlive a traced run
+assert not set(vars(quasirep)) & set(quasirep.__all__)
+assert set(quasirep.__all__) <= set(dir(quasirep))
+print("resolved")
+"""
+ENGINE = ["frames", "gpt", "kirkwood_dirac", "structure"]
+CLI_MODULES = ["quasirep"] + [f"quasirep.{m}" for m in ("cli", "complexify", "errors", "linalg")]
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_each_command_imports_only_its_engine(tmp_path):
+    steps = json.loads(_python(IMPORT_STEPS, str(tmp_path / "report.json")))
+    assert steps["package"] == ["quasirep"]
+    assert steps["cli"] == CLI_MODULES
+    assert steps["coherence"] == CLI_MODULES
+    # a KD table of a generated state needs no representation
+    assert steps["kd-table"] == sorted(CLI_MODULES + [f"quasirep.{m}" for m in ENGINE
+                                                      if m != "structure"])
+    assert steps["audit"] == sorted(CLI_MODULES + [f"quasirep.{m}" for m in ENGINE])
+
+
+def test_every_name_resolves_after_a_bare_import():
+    assert _python(RESOLVE_ALL) == "resolved"
 
 
 def _load_tracing():
@@ -54,6 +125,19 @@ def test_tracer_installs_and_uninstalls():
     assert tracer.calls["frames.Channel"] == 1
     assert tracer.calls["linalg.numerical_rank"] == 1
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_tracer_sees_the_engine_calls_of_the_cli(tmp_path):
+    # the CLI imports the engine when a command runs, so it must read the
+    # names the tracer has wrapped, not bind them before tracing starts
+    tracing = _load_tracing()
+    argv = ["audit", "--system", "quantum:2", "--frame-file",
+            str(ROOT / "tests" / "golden" / "qubit_frame.json"),
+            "--trials", "2", "--out", str(tmp_path / "report.json")]
+    with tracing.Tracer() as tracer:
+        assert cli.main(argv) == cli.EXIT_OK
+    for name in ("gpt.make_system", "frames.frame_from_json", "structure.audit_representation"):
+        assert tracer.calls[name] == 1, name
 
 
 def test_slot_matrices_are_read_only_in_structure():

@@ -160,14 +160,16 @@ def _audit_slot(entry: dict, sys) -> SystemSlot:
     from .kirkwood_dirac import kd_frame_pair
     from .structure import SystemSlot
 
-    if "frame-file" in entry:
-        if sys.dim is None:
+    if sys.dim is None:
+        if "frame-file" in entry:
             raise ValueError(f"frame files need a quantum system, not {sys.label}")
+        if "bases" in entry or "bases-file" in entry:
+            raise ValueError(f"bases need a quantum system, not {sys.label}")
+        return SystemSlot.identity(sys.real_dim)
+    if "frame-file" in entry:
         loaded = frame_from_json(_load_json(entry["frame-file"]))
         pair = loaded if isinstance(loaded, DualPair) else canonical_dual(loaded)
         return SystemSlot.from_pair(pair)
-    if sys.dim is None:
-        return SystemSlot.identity(sys.real_dim)
     return SystemSlot.from_pair(kd_frame_pair(_build_bases(entry, sys.dim, sys.label)))
 
 

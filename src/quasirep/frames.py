@@ -228,10 +228,11 @@ def represent_channel(pair_out: DualPair, pair_in: DualPair, ch: Channel) -> np.
     return pair_out.frame.vec_matrix.conj() @ ch.superop @ pair_in.dual.vec_matrix.T
 
 
-def random_frame(
-    d: int, size: int, rng: np.random.Generator, labels=None
-) -> Frame:
+def random_frame(d: int, size: int, rng: np.random.Generator) -> Frame:
     """A spanning frame of ``size >= d**2`` Ginibre-random elements.
+
+    Each attempt is one ``(size, 2, d, d)`` normal draw: per element its
+    real part, then its imaginary part.
 
     Raises:
         SingularFrameError: if no draw spans within ``RANDOM_FRAME_MAX_DRAWS``.
@@ -239,11 +240,8 @@ def random_frame(
     if size < d**2:
         raise DimensionError(f"need at least {d**2} elements to span, got {size}")
     for _ in range(RANDOM_FRAME_MAX_DRAWS):
-        elements = [
-            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-            for _ in range(size)
-        ]
-        frame = Frame(elements, labels=labels)
+        g = rng.standard_normal((size, 2, d, d))
+        frame = Frame((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
         if frame.is_spanning():
             return frame
     raise SingularFrameError(f"no spanning frame found in {RANDOM_FRAME_MAX_DRAWS} draws")

@@ -406,11 +406,11 @@ def _audit_block(
     :func:`audit_representation`); the block reads the next ``count`` rows
     of each trial role, one generator call per role.  Each pair's two
     channels are built and represented once, as one ``(2 count, ...)``
-    stack that every triple through the pair reuses, so all pairs' stacks
-    are alive at once.  The first channel ``T1`` of each pair's first
-    ``factored`` trials is also factored as ``chi_out @ C(T1) @ phi_in``
-    through ``maps``, each system's ``(chi, phi)``.  Residuals fold with a
-    NaN-propagating maximum.
+    stack that linearity mixes and every triple through the pair reuses, so
+    all pairs' stacks are alive at once.  The first channel ``T1`` of each
+    pair's first ``factored`` trials is also factored as ``chi_out @ C(T1)
+    @ phi_in`` through ``maps``, each system's ``(chi, phi)``.  Residuals
+    fold with a NaN-propagating maximum.
     """
     roles = iter(roles)
     semif = adequacy = linearity = decomposition = 0.0
@@ -431,16 +431,13 @@ def _audit_block(
         kraus = random_kraus(a.dim, b.dim, _rows(next(roles), count, [both])[0])
         w = _rows(next(roles), count, [(1, 1)], uniform=True)[0]
         pair = a.label, b.label
-        superops[pair] = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
-        gammas[pair] = gamma = rep.apply(a.label, b.label, superops[pair])
+        superops[pair] = stack = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
+        gammas[pair] = gamma = rep.apply(a.label, b.label, stack)
         g1, g2 = gamma[0::2], gamma[1::2]
-        # the mixture's Kraus family: sqrt(w) K1, then sqrt(1 - w) K2
-        scales = np.sqrt(np.concatenate([w, 1 - w], axis=1))[..., None, None]
-        mixture = (scales * kraus).reshape(count, -1, b.dim, a.dim)
-        mixed = rep.apply(a.label, b.label, channel_stack(mixture)[0])
+        mixed = rep.apply(a.label, b.label, w * stack[0::2] + (1 - w) * stack[1::2])
         linearity = np.maximum(linearity, max_abs(mixed - (w * g1 + (1 - w) * g2)))
         if factored:
-            c1 = _complexified_process(superops[pair][0::2][:factored], a, b)
+            c1 = _complexified_process(stack[0::2][:factored], a, b)
             rhs = maps[b.label][0] @ c1 @ maps[a.label][1]
             decomposition = np.maximum(decomposition, max_abs(g1[:factored] - rhs))
 
@@ -467,9 +464,9 @@ def audit_representation(
 
     Semi-functoriality represents the composed superoperator ``S2 @ S1``
     against ``Gamma(T2) @ Gamma(T1)``, which tests reconstruction on the
-    intermediate system; linearity represents the mixture built from the
-    Kraus family ``{sqrt(w) K1, sqrt(1 - w) K2}`` against the weighted sum;
-    the factorization check compares ``Gamma(T1)`` with ``chi_out @ C(T1) @
+    intermediate system; linearity represents the mixture ``w S1 + (1 - w)
+    S2`` of the pair's superoperators against the weighted sum; the
+    factorization check compares ``Gamma(T1)`` with ``chi_out @ C(T1) @
     phi_in``, ``C(T1)`` taken through real coordinates.
 
     Sampling contract (what makes a report a function of ``seed`` and

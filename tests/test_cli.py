@@ -355,6 +355,11 @@ class TestCoherence:
         # the qubit frame's d**2 = 4 coordinates match classical:4, so only the kind can reject it
         (["audit", "--system", "classical:4", "--frame-file", str(GOLDEN / "qubit_frame.json")],
          None, "classical-4"),
+        # bases are quantum too, and the file is not read
+        (["audit", "--system", "classical:3", "--bases", "fourier"], None,
+         "bases need a quantum system, not classical-3"),
+        (["audit", "--system", "classical:3", "--bases-file", str(GOLDEN / "missing.json")],
+         None, "bases need a quantum system, not classical-3"),
         (["audit", "--system", "quantum:2", "--trials", "2", "--seed", "-1"], None, "seed"),
         (["kd-table", "--bases", "fourier", "--dim", "2", "--seed", "-1"], None, "seed"),
         (["coherence", "--trials", "2", "--seed", "-1"], None, "seed"),
@@ -428,7 +433,8 @@ class TestCoherence:
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
-         "qubit-frame-on-classical-4", "audit-negative-seed", "kd-negative-seed",
+         "qubit-frame-on-classical-4", "bases-on-classical", "bases-file-on-classical",
+         "audit-negative-seed", "kd-negative-seed",
          "coherence-negative-seed", "kd-row-state", "kd-frame-row-state",
          "kd-qutrit-state-on-qubit", "kd-frame-qutrit-state-on-qubit",
          "classical-65", "coherence-trials-zero", "coherence-trials-negative", "coherence-dims-65",

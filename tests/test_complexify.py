@@ -174,6 +174,13 @@ class TestCoherence:
         assert (monoidal_coherence(2, 3, trials=5, seed=5).unitality_max_residual
                 > COHERENCE_RESIDUAL_ATOL)
 
+    def test_epsilon_check_catches_a_conjugating_pair_to_coord(self, monkeypatch):
+        # the epsilon check pins pair_to_coord exactly, so no other check repeats it
+        assert monoidal_coherence(2, 3, trials=1, seed=5).all_pass
+        monkeypatch.setattr(complexify, "pair_to_coord", lambda p: p.real - 1j * p.imag)
+        report = monoidal_coherence(2, 3, trials=1, seed=5)
+        assert not report.epsilon_iso and not report.all_pass
+
     @pytest.mark.parametrize(
         "mutant, failing",
         [

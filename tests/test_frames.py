@@ -625,6 +625,17 @@ def test_random_frame_gives_up_after_draw_cap():
         random_frame(2, 4, _ZeroGenerator())
 
 
+@pytest.mark.parametrize("d, size, seed", [(2, 8, 5), (3, 15, 1), (1, 1, 0), (4, 20, 9)])
+def test_random_frame_reads_the_stream_element_by_element(d, size, seed):
+    # element l is its real part, then its imaginary part, as one draw each
+    rng = np.random.default_rng(seed)
+    elements = [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+                for _ in range(size)]
+    frame = random_frame(d, size, np.random.default_rng(seed))
+    assert np.array_equal(np.array(frame.elements), np.array(elements))
+    assert frame.labels == tuple(str(i) for i in range(size))
+
+
 class TestSerialization:
     def test_frame_round_trip(self, rng):
         frame = random_frame(2, 5, rng)

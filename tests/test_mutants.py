@@ -1,10 +1,13 @@
 """Mutants of a representation that a gated audit verdict must catch.
 
 Each mutant corrupts a map of the qutrit Fourier Kirkwood-Dirac slot, or
-both, and must flip ``semifunctorial`` and ``empirically_adequate``.  A
-verdict that no mutant flips gets a strict ``xfail`` naming the ROADMAP item
-expected to make it falsifiable.
+both, and must flip ``semifunctorial`` and ``empirically_adequate``;
+``VERDICTS`` pins every boolean verdict of every row.  A verdict that no
+mutant flips gets a strict ``xfail`` naming the ROADMAP item expected to make
+it falsifiable.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -30,6 +33,24 @@ MUTANTS = {
 }
 
 
+VERDICT_FIELDS = (
+    "semifunctorial", "empirically_adequate", "linear", "discard_preserving", "functorial",
+    "dim_check",
+)
+T, F = True, False
+# one row per mutant, None for the unmutated slot, in VERDICT_FIELDS order
+VERDICTS = {
+    None: (T, T, T, T, T, T),
+    "recon-scaled": (F, F, T, T, F, T),
+    "recon-noise": (F, F, T, T, F, T),
+    "rep-conjugated": (F, F, T, T, F, T),
+    "rep-rows-reversed": (F, F, T, T, F, T),
+    "recon-is-rep-transposed": (F, F, T, T, F, T),
+    "rep-last-row-zeroed": (F, F, T, F, F, F),
+    "rep-and-recon-gaussian": (F, F, T, F, F, T),
+}
+
+
 def _qutrit_fourier(mutant=None):
     system = make_system("quantum", 3)
     slot = SystemSlot.from_pair(kd_frame_pair(preset_bases("fourier", 3)))
@@ -40,23 +61,33 @@ def _qutrit_fourier(mutant=None):
     return Representation(slots, validate=False), system
 
 
+@functools.cache
+def _report(mutant=None):
+    """The audit of a row: 20 trials at seed 3."""
+    rep, system = _qutrit_fourier(mutant)
+    return audit_representation(rep, [system], trials=20, seed=3)
+
+
 def test_unmutated_slot_passes():
-    rep, system = _qutrit_fourier()
-    assert audit_representation(rep, [system], trials=20, seed=3).passes()
+    assert _report().passes()
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_fails_semifunctoriality(mutant):
-    rep, system = _qutrit_fourier(mutant)
-    report = audit_representation(rep, [system], trials=20, seed=3)
+    report = _report(mutant)
     assert not report.semifunctorial and not report.passes()
     assert not report.empirically_adequate
 
 
+@pytest.mark.parametrize("mutant", VERDICTS, ids=lambda mutant: mutant or "unmutated")
+def test_every_verdict_of_the_table(mutant):
+    report = _report(mutant)
+    assert tuple(getattr(report, field) for field in VERDICT_FIELDS) == VERDICTS[mutant]
+
+
 def test_rank_deficient_rep_has_no_factorization():
     # chi has rank 8 < 9, so there is no phi and the factorization check reads inf
-    rep, system = _qutrit_fourier("rep-last-row-zeroed")
-    report = audit_representation(rep, [system], trials=20, seed=3)
+    report = _report("rep-last-row-zeroed")
     assert not report.dim_check and report.decomposition_residual == float("inf")
     assert not report.passes()
 
@@ -64,8 +95,7 @@ def test_rank_deficient_rep_has_no_factorization():
 def test_random_slot_still_factors():
     # both sides of the factorization reduce to rep @ S @ recon for any slot
     # whose chi is injective, so random maps factor (ROADMAP item 1)
-    rep, system = _qutrit_fourier("rep-and-recon-gaussian")
-    report = audit_representation(rep, [system], trials=20, seed=3)
+    report = _report("rep-and-recon-gaussian")
     assert not report.semifunctorial and not report.empirically_adequate
     assert report.dim_check and np.isfinite(report.decomposition_residual)
 
@@ -82,7 +112,6 @@ def test_one_trial_composes_two_independent_channels():
                    "slot mutant flips `linear` (ROADMAP item 1)")
 def test_some_mutant_flips_linearity():
     for mutant in MUTANTS:
-        rep, system = _qutrit_fourier(mutant)
-        if not audit_representation(rep, [system], trials=20, seed=3).linear:
+        if not _report(mutant).linear:
             return
     raise AssertionError("no mutant flips `linear`")

@@ -106,10 +106,10 @@ def _reference_report(rep, systems, trials, seed):
             ch1, ch2 = draw_channel(rng, a, b), draw_channel(rng, a, b)
             channels[a.label, b.label] = ch1, ch2
             w = weight.uniform(0, 1)
-            mixed = Channel([*(np.sqrt(w) * ch1.kraus), *(np.sqrt(1 - w) * ch2.kraus)])
+            mixed = w * ch1.superop + (1 - w) * ch2.superop
             weighted = (w * rep.apply(a.label, b.label, ch1.superop)
                         + (1 - w) * rep.apply(a.label, b.label, ch2.superop))
-            linearity.append(max_abs(rep.apply(a.label, b.label, mixed.superop) - weighted))
+            linearity.append(max_abs(rep.apply(a.label, b.label, mixed) - weighted))
             if trial < max(1, trials // 4):
                 decomposition.append(verify_decomposition(rep, a, b, [ch1]))
         # T1 is the first channel of pair (a, b), T2 the second of pair (b, c)
@@ -597,9 +597,9 @@ class TestAudit:
 
     @pytest.mark.parametrize("trials", [1, AUDIT_BLOCK_TRIALS + 3])
     def test_builds_each_pair_stack_once_per_block(self, trials, monkeypatch):
-        # semi-functoriality and the factorization check read the pair channels:
-        # per block, one Kraus draw and two superoperator stacks (channels and
-        # mixture) per pair, none per triple and none for the factorization
+        # linearity, semi-functoriality and the factorization check read the
+        # pair channels: per block, one Kraus draw and one superoperator stack
+        # per pair, none for the mixture, per triple or for the factorization
         rep, systems = _qubit_and_qutrit()
         counts = {"random_kraus": 0, "channel_stack": 0}
 
@@ -616,7 +616,7 @@ class TestAudit:
         audit_representation(rep, systems, trials=trials, seed=0)
         s = len(systems)
         blocks = -(-trials // AUDIT_BLOCK_TRIALS)
-        assert counts == {"random_kraus": blocks * s**2, "channel_stack": blocks * 2 * s**2}
+        assert counts == {"random_kraus": blocks * s**2, "channel_stack": blocks * s**2}
 
     def test_builds_each_identity_image_once(self, monkeypatch):
         # extract_phi and the functorial verdict read the same image

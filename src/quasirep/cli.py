@@ -63,8 +63,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in ("config", "func") or value is None:
             continue
-        if key == "frame" and not value:
-            continue  # absent store_true flag must not mask a config value
         cfg[key.replace("_", "-")] = value
     return cfg
 
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     kd.add_argument("--state", help="JSON matrix file with the input state")
     kd.add_argument("--dim", type=int, help="dimension for generated states/presets")
     kd.add_argument("--seed", type=int, help="seed for random state generation")
-    kd.add_argument("--frame", action="store_true",
+    kd.add_argument("--frame", action="store_const", const=True,
                     help="route through the frame pair (requires faithful bases)")
     kd.add_argument("--out", help="output CSV path (default stdout)")
     kd.set_defaults(func=run_kd_table)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, ReconstructionError, SingularFrameError
 from .linalg import (
+    MAX_QUANTUM_DIM,
     as_cstack,
     cmat_from_json,
     cmat_to_json,
@@ -54,9 +55,9 @@ RANDOM_FRAME_MAX_DRAWS = 100
 class Frame:
     """An indexed family of ``d x d`` complex matrices.
 
-    The elements are held as one read-only ``(n, d, d)`` complex array,
-    copied from the input (any sequence of equally shaped square matrices,
-    or such a stack); ``elements`` and ``vec_matrix`` are views into it.
+    ``elements`` is one read-only ``(n, d, d)`` complex array, copied from
+    the input (any sequence of equally shaped square matrices, or such a
+    stack); ``vec_matrix`` is a view into it.
     The labels, one per element, must be distinct.
     Non-spanning families are representable (and reported by
     :meth:`is_spanning`); operations that need a dual reject them.
@@ -74,7 +75,7 @@ class Frame:
             raise DimensionError("frame labels must be distinct")
         self.dim = d
         self.labels = labels
-        self.elements = tuple(stack)
+        self.elements = stack
         # rows are vec(F_l); Tr(F_l† X) = vec_matrix.conj() @ vec(X)
         self.vec_matrix = stack.reshape(n, -1)
 
@@ -261,14 +262,16 @@ def frame_to_json(frame: Frame, dual: Frame | None = None) -> dict:
 def frame_from_json(data: dict) -> Frame | DualPair:
     """Parse a frame file; returns a DualPair when a dual family is present.
 
-    A stored dual is taken at face value (not re-validated) so that broken
-    pairs can be loaded for auditing.  ``d`` must be a JSON integer and the
-    labels a list of strings, as :func:`frame_to_json` writes them.
+    A stored dual is taken as is, so that broken pairs load for auditing.
+    ``d`` must be a JSON integer ``<= MAX_QUANTUM_DIM``, checked first, and
+    the labels a list of strings, as :func:`frame_to_json` writes them.
     """
     try:
         d, labels = data["d"], data["labels"]
         if type(d) is not int:
             raise TypeError(f"d must be an integer, got {d!r}")
+        if d > MAX_QUANTUM_DIM:
+            raise DimensionError(f"frame file dim must be <= {MAX_QUANTUM_DIM}, got {d}")
         if type(labels) is not list or not set(map(type, labels)) <= {str}:
             raise TypeError("labels must be a list of strings")
         elements = [cmat_from_json(e) for e in data["elements"]]

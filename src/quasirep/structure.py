@@ -26,7 +26,6 @@ to a unique intertwiner are handled by :func:`split_idempotent` and
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -383,19 +382,6 @@ def _discard_residual(sys: GptSystem, chi: np.ndarray) -> float:
     return max_abs(ones @ chi - _complexified_effect_rows(sys, sys.u))
 
 
-def _rows(rng, count: int, shapes: list, uniform: bool = False) -> list[np.ndarray]:
-    """The next ``count`` rows of a role stream, in one call to its generator.
-
-    A row holds consecutive blocks of ``shapes``; each block comes back as a
-    ``(count, *shape)`` array.  Rows are standard normals, or with ``uniform``
-    draws on ``[0, 1)`` (the values of ``uniform(0, 1)``).
-    """
-    sizes = [math.prod(shape) for shape in shapes]
-    out = (rng.random if uniform else rng.standard_normal)((count, sum(sizes)))
-    parts = np.split(out, np.cumsum(sizes)[:-1], axis=1)
-    return [part.reshape(count, *shape) for part, shape in zip(parts, shapes)]
-
-
 def _audit_block(
     rep: Representation, sampled: list[GptSystem], roles: list, count: int,
     maps: dict[str, tuple[np.ndarray, np.ndarray]], factored: int,
@@ -415,9 +401,9 @@ def _audit_block(
     roles = iter(roles)
     semif = adequacy = linearity = decomposition = 0.0
     for sys in sampled:
-        rho_normals, eff_normals = _rows(next(roles), count, [(2, sys.dim, sys.dim)] * 2)
-        rho = density_stack(rho_normals)
-        eff = effect_stack(eff_normals, _rows(next(roles), count, [(sys.dim,)], uniform=True)[0])
+        normals = next(roles).standard_normal((count, 2, 2, sys.dim, sys.dim))
+        rho = density_stack(normals[:, 0])
+        eff = effect_stack(normals[:, 1], next(roles).random((count, sys.dim)))
         # states as (d**2, 1) columns and effects as (1, d**2) conjugate rows
         mu = rep.apply(None, sys.label, rho.reshape(count, -1, 1))
         xi = rep.apply(sys.label, None, eff.reshape(count, 1, -1).conj())
@@ -427,9 +413,9 @@ def _audit_block(
 
     superops, gammas = {}, {}
     for a, b in itertools.product(sampled, repeat=2):
-        both = (2, *channel_block_shape(a.dim, b.dim))
-        kraus = random_kraus(a.dim, b.dim, _rows(next(roles), count, [both])[0])
-        w = _rows(next(roles), count, [(1, 1)], uniform=True)[0]
+        normals = next(roles).standard_normal((count, 2, *channel_block_shape(a.dim, b.dim)))
+        kraus = random_kraus(a.dim, b.dim, normals)
+        w = next(roles).random((count, 1, 1))
         pair = a.label, b.label
         superops[pair] = stack = channel_stack(kraus)[0].reshape(-1, b.dim**2, a.dim**2)
         gammas[pair] = gamma = rep.apply(a.label, b.label, stack)
@@ -474,8 +460,8 @@ def audit_representation(
     draws is a *role* with a stream of its own.  With ``S`` sampled systems
     (those with a Hilbert dimension ``dim``) the roles are, in this order:
 
-    1. for each sampled system, the state and effect normals (two ``(2, d,
-       d)`` blocks), then the effect weights (``d`` uniforms);
+    1. for each sampled system, one ``(2, 2, d, d)`` block of normals (the
+       state's, then the effect's), then the effect weights (``d`` uniforms);
     2. for each pair ``(a, b)``, the normal blocks of its two channels, then
        the weight ``w`` (one uniform); a triple ``(a, b, c)`` composes the
        first channel ``T1`` of ``(a, b)`` with the second ``T2`` of ``(b, c)``.
@@ -488,12 +474,12 @@ def audit_representation(
     from one ``(2, d_out**2 * d_in, d_in)`` normal block.  Trial ``t`` is
     regenerated by drawing ``t`` rows from each role's generator and
     discarding them; the next row is the trial's.  Trials are evaluated in
-    blocks of ``AUDIT_BLOCK_TRIALS``, a block being one call per role; numpy
-    fills rows in order and keeps no state between calls, so the block size
-    changes no number, and memory grows with ``S**2`` but not with
-    ``trials``.  A residual that overflows to NaN is reported as ``inf``,
-    and its verdict is false; the decomposition residual is ``inf`` when a
-    sampled system has no ``phi``.
+    blocks of ``AUDIT_BLOCK_TRIALS``, a block being one ``(count, *shape)``
+    call per role; numpy fills a C-order array in stream order and keeps no
+    state between calls, so the block size changes no number, and memory
+    grows with ``S**2`` but not with ``trials``.  A residual that overflows
+    to NaN is reported as ``inf``, and its verdict is false; the
+    decomposition residual is ``inf`` when a sampled system has no ``phi``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -92,6 +92,21 @@ class TestKdTable:
               "--frame", "--out", str(framed)])
         assert plain.read_bytes() == framed.read_bytes()
 
+    @pytest.mark.parametrize("bases, code", [("computational", EXIT_CONSTRUCTION),
+                                             ("hadamard", EXIT_OK)])
+    def test_frame_from_config_file(self, tmp_path, ground_state_file, bases, code):
+        # "frame": true in a config file, with no --frame flag, routes through the pair
+        plain, framed = tmp_path / "plain.csv", tmp_path / "framed.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "frame": True, "bases": bases, "state": ground_state_file, "out": str(framed),
+        }))
+        assert main(["kd-table", "--config", str(cfg)]) == code
+        if code == EXIT_OK:
+            main(["kd-table", "--bases", bases, "--state", ground_state_file,
+                  "--out", str(plain)])
+            assert plain.read_bytes() == framed.read_bytes()
+
     def test_config_file(self, tmp_path, ground_state_file):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "out.csv"
@@ -430,6 +445,12 @@ class TestCoherence:
         (["kd-table", "--frame", "--bases-file"], fourier_bases(12), "<= 8, got 12"),
         (["audit", "--system", "quantum:2", "--trials", "2", "--bases-file"], fourier_bases(9),
          "dim 9, system 'quantum-2' has dim 2"),
+        # a frame file meets the size cap before its elements are parsed
+        (["audit", "--system", "quantum:2", "--trials", "2", "--frame-file"],
+         {"d": 12, "labels": ["0"], "elements": [cmat_to_json(np.eye(12))]}, "<= 8, got 12"),
+        (["audit", "--system", "quantum:2", "--trials", "2", "--frame-file"],
+         {"d": 12, "labels": ["0"], "elements": [cmat_to_json(np.eye(12))],
+          "dual": [cmat_to_json(np.eye(12))]}, "<= 8, got 12"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -446,7 +467,8 @@ class TestCoherence:
          "frame-labels-string", "frame-string-d", "frame-element-string-rows",
          "frame-dual-boolean-entry", "frame-repeated-labels", "unknown-kind-qubit",
          "unknown-kind-boxworld", "quantum-0", "quantum-9", "classical-0",
-         "kd-bases-file-dim-12", "audit-bases-file-dim-9-on-qubit"],
+         "kd-bases-file-dim-12", "audit-bases-file-dim-9-on-qubit", "frame-file-dim-12",
+         "frame-file-dim-12-with-dual"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

@@ -565,10 +565,23 @@ class TestAudit:
             assert report.to_json() == _reference_report(rep, systems, trials, seed)
             assert report.passes()
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(1, 9), st.integers(0, 2**64 - 1))
-    def test_equals_the_reference_at_any_seed(self, trials, seed):
-        rep, systems = _qubit_and_qutrit()
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.lists(st.sampled_from([("quantum", 1), ("quantum", 2), ("quantum", 3),
+                                  ("quantum", 4), ("classical", 2)]),
+                 min_size=1, max_size=5, unique=True),
+        st.lists(st.booleans(), min_size=5, max_size=5),
+        st.integers(1, 9), st.integers(0, 2**64 - 1),
+    )
+    def test_equals_the_reference_at_any_seed(self, specs, fourier, trials, seed):
+        # any subset and order of systems; a quantum system's slot is its
+        # Fourier KD pair or the identity, a classical one's the identity
+        systems = [make_system(kind, n) for kind, n in specs]
+        rep = Representation({
+            s.label: SystemSlot.from_pair(kd_frame_pair(preset_bases("fourier", s.dim)))
+            if s.dim is not None and kd else SystemSlot.identity(s.real_dim)
+            for s, kd in zip(systems, fourier)
+        })
         report = audit_representation(rep, systems, trials=trials, seed=seed)
         assert report.to_json() == _reference_report(rep, systems, trials, seed)
 
@@ -638,8 +651,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("trials", [1, 4 * AUDIT_BLOCK_TRIALS + 4])
     def test_draws_each_segment_in_one_generator_call(self, qubit, qutrit, trials, monkeypatch):
-        # one call per role and per block of AUDIT_BLOCK_TRIALS trials; the
-        # classical system has no role
+        # one call per role and per block of AUDIT_BLOCK_TRIALS trials, in the
+        # block's own shape; the classical system has no role
         bits = make_system("classical", 2)
         rep = Representation({
             qubit.label: SystemSlot.from_pair(kd_frame_pair(random_faithful_bases(2, seed=4))),
@@ -648,29 +661,40 @@ class TestAudit:
         })
         calls = []
 
-        class CountingGenerator:
+        class RecordingGenerator:
             def __init__(self, rng, role):
                 self.rng, self.role = rng, role
 
             def __getattr__(self, name):
                 method = getattr(self.rng, name)
 
-                def counted(*args, **kwargs):
-                    calls[self.role] += 1
-                    return method(*args, **kwargs)
-                return counted
+                def recorded(size=None, **kwargs):
+                    calls[self.role].append((name, size))
+                    return method(size, **kwargs)
+                return recorded
 
         default_rng = np.random.default_rng
 
-        def counting_rng(seed):
-            calls.append(0)
-            return CountingGenerator(default_rng(seed), len(calls) - 1)
+        def recording_rng(seed):
+            calls.append([])
+            return RecordingGenerator(default_rng(seed), len(calls) - 1)
 
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
         audit_representation(rep, [qubit, bits, qutrit], trials=trials, seed=0)
-        s = 2
-        blocks = -(-trials // AUDIT_BLOCK_TRIALS)
-        assert calls == [blocks] * (2 * s + 2 * s**2)
+        counts = [min(AUDIT_BLOCK_TRIALS, trials - start)
+                  for start in range(0, trials, AUDIT_BLOCK_TRIALS)]
+
+        def role(name, *shape):
+            return [(name, (count, *shape)) for count in counts]
+
+        # state then effect normals, effect weights; per pair both channels' normals, w
+        expected = []
+        for d in (2, 3):
+            expected += [role("standard_normal", 2, 2, d, d), role("random", d)]
+        for a, b in itertools.product((2, 3), repeat=2):
+            expected += [role("standard_normal", 2, *gpt.channel_block_shape(a, b)),
+                         role("random", 1, 1)]
+        assert calls == expected
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 2**64 - 1))

@@ -86,12 +86,22 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
+def _slot_source(entry: dict) -> str | None:
+    """The one of ``frame-file``, ``bases`` and ``bases-file`` that a slot's entry
+    names, if any; naming two is an error, raised before any file is read."""
+    named = [key for key in ("frame-file", "bases", "bases-file") if key in entry]
+    if len(named) > 1:
+        raise ValueError(f"a system takes one of frame-file, bases and bases-file, "
+                         f"got {' and '.join(named)}")
+    return named[0] if named else None
+
+
 def _build_bases(cfg: dict, dim: int, system: str | None = None) -> KdBases:
     """A bases file, or a preset of dimension ``dim``.  A file must respect the
     size cap and, for an audited ``system`` of dimension ``dim``, match it."""
     from .kirkwood_dirac import KdBases, preset_bases
 
-    if "bases-file" in cfg:
+    if _slot_source(cfg) == "bases-file":
         data = _load_json(cfg["bases-file"])
         if not {"basis_a", "basis_b"} <= data.keys():
             raise ValueError("bases file needs both basis_a and basis_b")
@@ -152,19 +162,20 @@ def _parse_system_spec(spec) -> tuple[str, int]:
     raise ValueError(f"bad system spec {spec!r}; expected e.g. 'quantum:2'")
 
 
-def _audit_slot(entry: dict, sys) -> SystemSlot:
-    """Slot for one audited system: a frame file, a bases preset or the identity."""
+def _audit_slot(entry: dict, source: str | None, sys) -> SystemSlot:
+    """Slot for one audited system: a frame file, a bases preset or file, or the
+    identity, as ``source`` (:func:`_slot_source` of ``entry``) names."""
     from .frames import DualPair, canonical_dual, frame_from_json
     from .kirkwood_dirac import kd_frame_pair
     from .structure import SystemSlot
 
     if sys.dim is None:
-        if "frame-file" in entry:
+        if source == "frame-file":
             raise ValueError(f"frame files need a quantum system, not {sys.label}")
-        if "bases" in entry or "bases-file" in entry:
+        if source is not None:
             raise ValueError(f"bases need a quantum system, not {sys.label}")
         return SystemSlot.identity(sys.real_dim)
-    if "frame-file" in entry:
+    if source == "frame-file":
         loaded = frame_from_json(_load_json(entry["frame-file"]))
         pair = loaded if isinstance(loaded, DualPair) else canonical_dual(loaded)
         return SystemSlot.from_pair(pair)
@@ -192,12 +203,13 @@ def run_audit(cfg: dict) -> int:
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError('"systems" must be a list of objects such as {"system": "quantum:2"}')
 
+    sources = [_slot_source(entry) for entry in entries]
     systems, slots = [], {}
-    for entry in entries:
+    for entry, source in zip(entries, sources):
         kind, dim = _parse_system_spec(entry.get("system", "quantum:2"))
         sys_obj = make_system(kind, dim, seed=seed)
         systems.append(sys_obj)
-        slots[sys_obj.label] = _audit_slot(entry, sys_obj)
+        slots[sys_obj.label] = _audit_slot(entry, source, sys_obj)
 
     # lenient construction: broken pairs must surface in the report, not here;
     # audit_representation rejects a repeated system or a slot that does not fit

@@ -18,6 +18,7 @@ matrix with entries promoted to complex, which acts on pairs componentwise.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -81,9 +82,12 @@ def embed(w) -> PairVector:
 
 def scalar_mul(alpha, p: PairVector) -> PairVector:
     """Complex scalar multiplication ``(a+bi)(w1,w2) = (a w1 - b w2, b w1 + a w2)``;
-    ``alpha`` may be a complex array that broadcasts against the components."""
-    a, b = alpha.real, alpha.imag
-    return PairVector(a * p.real - b * p.imag, b * p.real + a * p.imag)
+    ``alpha`` may be a complex array that broadcasts against the components.
+    One complex ``einsum`` over the coordinate encoding, its four products per entry
+    rounded separately as in :func:`_kron`: the formula bit for bit, but for the sign
+    of an exact zero."""
+    out = np.einsum("...,...->...", alpha, pair_to_coord(p))
+    return PairVector(out.real, out.imag)
 
 
 def apply_complexified(f, p: PairVector) -> PairVector:
@@ -95,8 +99,11 @@ def apply_complexified(f, p: PairVector) -> PairVector:
 
 
 def pair_to_coord(p: PairVector) -> np.ndarray:
-    """Coordinate encoding ``w1 + i w2`` in ``C^dim``."""
-    return p.real + 1j * p.imag
+    """Coordinate encoding ``w1 + i w2`` in ``C^dim``, assigned part by part: exact for
+    every entry, where ``1j * w2`` would turn an infinite ``w2`` into a NaN real part."""
+    z = np.empty(p.real.shape, dtype=complex)
+    z.real, z.imag = p.real, p.imag
+    return z
 
 
 def pair_kron(p: PairVector, q: PairVector) -> PairVector:
@@ -107,16 +114,21 @@ def pair_kron(p: PairVector, q: PairVector) -> PairVector:
         (w1, w2) (x) (v1, v2)  ->  (w1(x)v1 - w2(x)v2,  w1(x)v2 + w2(x)v1)
 
     using the row-major real Kronecker product for ``(x)``, row by row on stacks.
+    One complex :func:`_kron` over the coordinate encodings computes it, the four
+    products of each entry rounded separately: the formula bit for bit, but for the
+    sign of an exact zero.
     """
-    re = _kron(p.real, q.real) - _kron(p.imag, q.imag)
-    im = _kron(p.real, q.imag) + _kron(p.imag, q.real)
-    return PairVector(re, im)
+    out = _kron(pair_to_coord(p), pair_to_coord(q))
+    return PairVector(out.real, out.imag)
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-major Kronecker product on the last axis, broadcast over the others, in one
     ``einsum`` kernel: each entry is the one product ``x[..., i] * y[..., j]``, value for
-    value numpy's ``kron`` (``np.array_equal``: an exact zero may differ in sign)."""
+    value numpy's ``kron`` (``np.array_equal``: an exact zero may differ in sign).  On
+    complex operands it is ``(xr yr - xi yi) + i (xr yi + xi yr)`` with each real product
+    rounded on its own.  Complex ``*`` is not used: where the CPU has FMA units, numpy
+    fuses a product into the sum there and rounds once fewer."""
     outer = np.einsum("...i,...j->...ij", x, y)
     return outer.reshape(*outer.shape[:-2], -1)
 
@@ -213,16 +225,16 @@ def _codomain_rows(u: np.ndarray) -> np.ndarray:
 def _coherence_block(rng, trials: int, dim_w: int, dim_v: int, dim_z: int) -> np.ndarray:
     """Naturality, associativity and unitality residuals of ``trials`` trials.
 
-    One ``uniform(-1, 1)`` call draws a row per trial: ``u_m``, ``u_n``, the
-    ``(3, dim_w)`` map ``f``, the ``(3, dim_v)`` map ``g``, the pairs ``p, q,
-    a, b, c`` (each real then imaginary part) and the scalar ``alpha``
-    (likewise).  The rows of ``f`` from ``m = _codomain_rows(u_m)`` on are
+    One ``uniform(-1, 1)`` call draws a row per trial, read as column views:
+    ``u_m``, ``u_n``, the ``(3, dim_w)`` map ``f``, the ``(3, dim_v)`` map ``g``,
+    the pairs ``p, q, a, b, c`` (each real then imaginary part) and the scalar
+    ``alpha`` (likewise).  The rows of ``f`` from ``m = _codomain_rows(u_m)`` on are
     zeroed, and those of ``g`` from ``n = _codomain_rows(u_n)`` on.
     """
     parts = [1, 1, 3 * dim_w, 3 * dim_v,
              dim_w, dim_w, dim_v, dim_v, dim_w, dim_w, dim_v, dim_v, dim_z, dim_z, 1, 1]
-    u_m, u_n, f, g, *cols = np.split(rng.uniform(-1, 1, (trials, sum(parts))),
-                                     np.cumsum(parts)[:-1], axis=1)
+    u = rng.uniform(-1, 1, (trials, sum(parts)))
+    u_m, u_n, f, g, *cols = (u[:, s:e] for s, e in pairwise(accumulate(parts, initial=0)))
     f, g = f.reshape(trials, 3, dim_w), g.reshape(trials, 3, dim_v)
     f[np.arange(3) >= _codomain_rows(u_m)] = 0.0
     g[np.arange(3) >= _codomain_rows(u_n)] = 0.0

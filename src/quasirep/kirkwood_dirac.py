@@ -53,6 +53,8 @@ class KdBases:
         if a.shape != b.shape:
             raise DimensionError("both bases must have the same dimension")
         d = a.shape[0]
+        if d < 1:
+            raise DimensionError(f"bases need d >= 1, got {d}")
         for name, m in (("a", a), ("b", b)):
             if max_abs(m.conj().T @ m - np.eye(d)) > UNITARITY_ATOL:
                 raise ValueError(f"basis {name} is not unitary")

@@ -154,13 +154,13 @@ def cmat_to_json(a) -> dict:
 def cmat_from_json(data: dict) -> np.ndarray:
     """Parse the matrix format produced by :func:`cmat_to_json`.
 
-    ``rows`` and ``cols`` must be JSON integers and the entries JSON numbers:
-    a string, boolean or null is rejected, not converted.
+    ``rows`` and ``cols`` must be JSON integers of at least 1 and the entries
+    JSON numbers: a string, boolean or null is rejected, not converted.
     """
     try:
         rows, cols, re, im = data["rows"], data["cols"], data["re"], data["im"]
-        if type(rows) is not int or type(cols) is not int:
-            raise TypeError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
+        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+            raise TypeError(f"rows and cols must be integers >= 1, got {rows!r} and {cols!r}")
         if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
             raise TypeError("entries must be numbers")
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)

@@ -451,6 +451,20 @@ class TestCoherence:
         (["audit", "--system", "quantum:2", "--trials", "2", "--frame-file"],
          {"d": 12, "labels": ["0"], "elements": [cmat_to_json(np.eye(12))],
           "dual": [cmat_to_json(np.eye(12))]}, "<= 8, got 12"),
+        # a matrix record has at least one row and one column
+        (["kd-table", "--bases-file"],
+         {"basis_a": {"rows": 0, "cols": 0, "re": [], "im": []},
+          "basis_b": {"rows": 0, "cols": 0, "re": [], "im": []}}, "malformed matrix"),
+        (["kd-table", "--bases", "hadamard", "--state"],
+         {**cmat_to_json(np.eye(2) / 2), "rows": -2, "cols": -2}, "malformed matrix"),
+        # a slot has one source, checked before any file is read
+        (["audit", "--system", "quantum:2", "--bases", "fourier", "--frame-file",
+          str(GOLDEN / "missing.json")], None, "got frame-file and bases"),
+        (["audit", "--config"],
+         {"systems": [{"system": "quantum:2", "bases": "fourier",
+                       "frame-file": str(GOLDEN / "missing.json")}]}, "got frame-file and bases"),
+        (["kd-table", "--bases", "hadamard", "--bases-file", str(GOLDEN / "missing.json")], None,
+         "got bases and bases-file"),
     ],
     ids=["kd-bases-file", "audit-bases-file", "systems-not-objects", "config-list", "dim-0",
          "tol-nan", "tol-negative", "duplicate-system", "qubit-frame-on-classical",
@@ -468,7 +482,9 @@ class TestCoherence:
          "frame-dual-boolean-entry", "frame-repeated-labels", "unknown-kind-qubit",
          "unknown-kind-boxworld", "quantum-0", "quantum-9", "classical-0",
          "kd-bases-file-dim-12", "audit-bases-file-dim-9-on-qubit", "frame-file-dim-12",
-         "frame-file-dim-12-with-dual"],
+         "frame-file-dim-12-with-dual", "kd-bases-file-0x0", "kd-state-negative-rows-cols",
+         "audit-bases-and-frame-file", "audit-config-bases-and-frame-file",
+         "kd-bases-and-bases-file"],
 )
 def test_malformed_input_is_construction_error(tmp_path, capsys, argv, content, named):
     if content is not None:

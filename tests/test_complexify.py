@@ -44,6 +44,12 @@ class TestEmbed:
         p = PairVector(rng.standard_normal(3), rng.standard_normal(3))
         assert np.array_equal(scalar_mul(1j, scalar_mul(1j, p)).stack(), -p.stack())
 
+    def test_coordinates_keep_every_part_exactly(self):
+        # 1j * inf is nan + inf j, which would turn the real part into a NaN
+        z = pair_to_coord(PairVector(np.array([1.0, -0.0]), np.array([np.inf, -np.inf])))
+        assert np.array_equal(z.real, [1.0, 0.0]) and np.signbit(z.real[1])
+        assert np.array_equal(z.imag, [np.inf, -np.inf])
+
 
 class TestComplexifyMap:
     def test_identity(self):
@@ -175,7 +181,8 @@ class TestCoherence:
                 > COHERENCE_RESIDUAL_ATOL)
 
     def test_epsilon_check_catches_a_conjugating_pair_to_coord(self, monkeypatch):
-        # the epsilon check pins pair_to_coord exactly, so no other check repeats it
+        # the epsilon check pins pair_to_coord exactly; the products encode through it,
+        # so a conjugating one fails them too
         assert monoidal_coherence(2, 3, trials=1, seed=5).all_pass
         monkeypatch.setattr(complexify, "pair_to_coord", lambda p: p.real - 1j * p.imag)
         report = monoidal_coherence(2, 3, trials=1, seed=5)
@@ -280,11 +287,28 @@ def _stack(dim):
         lambda rows: arrays(np.float64, (rows, dim), elements=st.floats(-1e3, 1e3, width=64)))
 
 
+def _signed_zeros(rng, shape):
+    """Uniform draws with about a quarter exact ``+0.0`` and a quarter exact ``-0.0``."""
+    x = rng.uniform(-1, 1, shape)
+    x[rng.uniform(size=shape) < 0.25] = 0.0
+    x[rng.uniform(size=shape) < 0.33] = -0.0
+    return x
+
+
+def _with_signed_zeros(seed, *xs):
+    """Each of ``xs`` with the zeros of a :func:`_signed_zeros` draw of its shape written over it."""
+    rng = np.random.default_rng(seed)
+    zeros = [_signed_zeros(rng, x.shape) for x in xs]
+    return [np.where(z == 0, z, x) for x, z in zip(xs, zeros)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda d: st.tuples(_stack(d), _stack(d))),
-       st.integers(1, 6).flatmap(lambda d: st.tuples(_stack(d), _stack(d))))
-def test_stacked_pair_kron_matches_kron_row_by_row(p_parts, q_parts):
-    p, q = PairVector(*p_parts), PairVector(*q_parts)
+       st.integers(1, 6).flatmap(lambda d: st.tuples(_stack(d), _stack(d))),
+       st.integers(0, 2**32 - 1))
+def test_stacked_pair_kron_matches_kron_row_by_row(p_parts, q_parts, seed):
+    pr, pi, qr, qi = _with_signed_zeros(seed, *p_parts, *q_parts)
+    p, q = PairVector(pr, pi), PairVector(qr, qi)
     out = pair_kron(p, q)
     re = _kron(p.real, q.real) - _kron(p.imag, q.imag)
     im = _kron(p.real, q.imag) + _kron(p.imag, q.real)
@@ -294,12 +318,49 @@ def test_stacked_pair_kron_matches_kron_row_by_row(p_parts, q_parts):
     assert np.array_equal(first.real, re[0]) and np.array_equal(first.imag, im[0])
 
 
-def _signed_zeros(rng, shape):
-    """Uniform draws with about a quarter exact ``+0.0`` and a quarter exact ``-0.0``."""
-    x = rng.uniform(-1, 1, shape)
-    x[rng.uniform(size=shape) < 0.25] = 0.0
-    x[rng.uniform(size=shape) < 0.33] = -0.0
-    return x
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(_stack(d), _stack(d))), _stack(2),
+       st.integers(0, 2**32 - 1))
+def test_scalar_mul_matches_the_pair_formula(parts, alpha_parts, seed):
+    # one scalar per row of the stack, as the unitality check broadcasts it
+    w1, w2, alpha_parts = _with_signed_zeros(seed, *parts, alpha_parts)
+    a, b = alpha_parts[:, :1], alpha_parts[:, 1:]
+    out = scalar_mul(alpha_parts.view(complex), PairVector(w1, w2))
+    assert np.array_equal(out.real, a * w1 - b * w2)
+    assert np.array_equal(out.imag, b * w1 + a * w2)
+    # one scalar for the whole stack
+    a, b = alpha_parts[0]
+    out = scalar_mul(complex(a, b), PairVector(w1, w2))
+    assert np.array_equal(out.real, a * w1 - b * w2)
+    assert np.array_equal(out.imag, b * w1 + a * w2)
+
+
+def test_products_round_each_term_on_its_own():
+    # (x + i)(x + i) with x = 1 + 2**-27: x * x = 1 + 2**-26 + 2**-54 rounds to
+    # 1 + 2**-26 before 1 is taken off, so the real part is 2**-26.  A fused
+    # multiply-add keeps the 2**-54, and numpy's complex `*` fuses where the
+    # CPU has FMA units: this fails if either product is rewritten with it.
+    x = 1 + 2**-27
+    ones = np.ones((4, 3))
+    p = PairVector(x * ones, ones)
+    for out in (pair_kron(p, p), scalar_mul(np.full((4, 1), complex(x, 1)), p),
+                scalar_mul(complex(x, 1), p)):
+        assert np.all(out.real == 2.0**-26) and np.all(out.imag == 2 * x)
+
+
+def test_one_pair_kron_is_one_kernel(monkeypatch, rng):
+    calls = []
+    kron = complexify._kron
+
+    def spy(x, y):
+        calls.append((x.dtype, y.dtype))
+        return kron(x, y)
+
+    monkeypatch.setattr(complexify, "_kron", spy)
+    p = PairVector(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
+    q = PairVector(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
+    pair_kron(p, q)
+    assert calls == [(complex, complex)]
 
 
 class TestKron:

@@ -171,6 +171,11 @@ class TestBases:
         with pytest.raises(DimensionError):
             KdBases(np.eye(2), np.eye(3))
 
+    def test_empty_bases_rejected(self):
+        # a 0 x 0 pair is unitary and faithful by vacuous truth, with a trace-0 table
+        with pytest.raises(DimensionError, match="d >= 1, got 0"):
+            KdBases(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_fourier_faithful_any_dim(self):
         for d in (2, 3, 4):
             assert preset_bases("fourier", d).faithful
